@@ -15,18 +15,15 @@ from fractions import Fraction
 from . import polys
 from .cartier import chi_mod_p
 from .config import DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .curves import (LPoly, count_points, curve_from_ab, curve_from_f,
-                     is_identity, jac_add, jac_identity, jac_neg,
-                     jac_scalar_mul, jacobian_order_check, random_divisor,
-                     zeta_oracle)
+from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
+                     curve_from_f, jacobian_order_screen, zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
 from .descent import (CandidateSet, _factor_mod, _order_check_prune,
-                      extend_lpoly,
-                      generic_descend, genus2_twist_combine, genus4_descend,
-                      weil_filter)
+                      extend_lpoly, generic_descend, genus2_twist_combine,
+                      genus3_descend_mod_p, genus4_descend, weil_filter)
 from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                      CharacteristicDividesGenus, EmptyAfterFilter,
-                     InternalError, NoCandidateSurvives,
+                     InternalError, NoCandidateSurvives, NoSolution,
                      NonResidueDiscriminant, NotPrimeField,
                      SingularSpecialization, ZeroPolynomial)
 from .fields import (FieldElement, embed, introot, make_extension,
@@ -84,31 +81,88 @@ def frobenius_trace(E, provider=None):
     return t
 
 
-def _mumford_key(D):
-    u, v = D
-    return (tuple(u), tuple(v))
+class _AffineCurve:
+    """Chord-and-tangent group law on y^2 = x^3 + a2 x^2 + a4 x + a6.
+
+    Points are (x, y) pairs of raw field elements and None is the point
+    at infinity.  Only the field descriptor's arithmetic is used, so any
+    odd-characteristic field works; keeping a2 means the genus-1 family
+    model needs no change of variables, even at p = 3.
+    """
+
+    def __init__(self, E):
+        F = E.F
+        self.F = F
+        self.f = E.f
+        self.a4, self.a2 = E.f[1], E.f[2]
+        self.three = F.from_int(3)
+
+    def add(self, P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        F = self.F
+        (x1, y1), (x2, y2) = P, Q
+        if x1 == x2:
+            if F.add(y1, y2) == F.zero:
+                return None
+            num = F.add(F.mul(F.add(F.mul(self.three, x1),
+                                    F.add(self.a2, self.a2)), x1), self.a4)
+            lam = F.div(num, F.add(y1, y1))
+        else:
+            lam = F.div(F.sub(y2, y1), F.sub(x2, x1))
+        x3 = F.sub(F.sub(F.mul(lam, lam), self.a2), F.add(x1, x2))
+        return (x3, F.sub(F.mul(lam, F.sub(x1, x3)), y1))
+
+    def mul(self, n, P):
+        """n * P for n >= 0, by double-and-add."""
+        acc = None
+        while n:
+            if n & 1:
+                acc = self.add(acc, P)
+            P = self.add(P, P)
+            n >>= 1
+        return acc
+
+    def random_point(self, rng):
+        """A random affine point, or None if 64 draws of x found none (a
+        tiny field can have no affine point at all)."""
+        F = self.F
+        for _ in range(64):
+            x = F.rand(rng)
+            y = F.sqrt(polys.evaluate(F, self.f, x))
+            if y is not None:
+                return (x, F.neg(y) if rng.getrandbits(1) else y)
+        return None
 
 
-def _kill_multiples(E, P, lo, width):
-    """All n in [lo, lo + width) with n*P = 0, by baby-step giant-step."""
-    m = introot(width, 2) + 1
+def _kill_multiples(G, P, lo, width):
+    """All n in [lo, lo + width) with n*P = 0, by baby-step giant-step.
+
+    Baby steps hold j*P for 0 <= j <= m, keyed by x-coordinate, so one
+    giant step at centre c tests the 2m + 1 values c - m .. c + m: c*P
+    equals +j*P or -j*P exactly when (c - j)*P or (c + j)*P vanishes.
+    """
+    m = introot(width // 2, 2) + 1
     baby = {}
-    D = jac_identity(E)
-    for i in range(m):
-        baby.setdefault(_mumford_key(D), []).append(i)
-        D = jac_add(E, D, P)
-    giant = D  # m * P
-    acc = jac_scalar_mul(E, lo, P)
-    hits = []
-    a = 0
-    while a * m < width:
-        for i in baby.get(_mumford_key(jac_neg(E, acc)), ()):
-            n = lo + a * m + i
-            if n < lo + width:
-                hits.append(n)
-        acc = jac_add(E, acc, giant)
-        a += 1
-    return sorted(set(hits))
+    R = None
+    for j in range(m + 1):
+        x, y = R or (None, None)
+        baby.setdefault(x, []).append((j, y))
+        R = G.add(R, P)
+    giant = G.mul(2 * m + 1, P)
+    acc = G.mul(lo + m, P)
+    hits = set()
+    for c in range(lo + m, lo + width + m, 2 * m + 1):
+        x, y = acc or (None, None)
+        for j, yj in baby.get(x, ()):
+            if y == yj:
+                hits.add(c - j)
+            if yj is None or y == G.F.neg(yj):
+                hits.add(c + j)
+        acc = G.add(acc, giant)
+    return sorted(n for n in hits if lo <= n < lo + width)
 
 
 def _bsgs_group_order(E):
@@ -121,16 +175,17 @@ def _bsgs_group_order(E):
     """
     F = E.F
     q = F.q
+    G = _AffineCurve(E)
     s = introot(4 * q, 2)
     lo = q + 1 - s
     width = 2 * s + 1
     cands = None
     for attempt in range(16):
         rng = random.Random(repr((DEFAULT_SEED, "bsgs", F.p, F.k, attempt)))
-        P = random_divisor(E, rng)
-        if is_identity(P):
+        P = G.random_point(rng)
+        if P is None:
             continue
-        hits = _kill_multiples(E, P, lo, width)
+        hits = _kill_multiples(G, P, lo, width)
         if not hits:
             raise InternalError("no candidate order killed the sampled point")
         cands = set(hits) if cands is None else cands & set(hits)
@@ -139,7 +194,7 @@ def _bsgs_group_order(E):
     if q <= default_budget():
         return count_points(E, 1)
     raise BudgetExceeded(
-        f"bsgs left {len(cands)} order candidates and the naive "
+        f"bsgs left {len(cands or ())} order candidates and the naive "
         f"fallback exceeds the count budget")
 
 
@@ -298,6 +353,8 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         raise InternalError("sqrt(b) escaped its quadratic field")
     c = q1f.div(embed(curve.a, F, q1f), sb)
     pair = quotients_normalized(q1f, g, c)
+    check_oracle_budget(pair.X1)
+    check_oracle_budget(pair.X2)
     L1 = zeta_oracle(pair.X1, seed=seed)
     L2 = zeta_oracle(pair.X2, seed=seed)
     transcript.append(
@@ -356,8 +413,10 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     y^2 = x^3 + a x^2 + b x.  Two elliptic traces pin chi_A mod p; the
     integer coefficients come from the |b1| <= 4 sqrt(p), |b2| <= 6p
     box filtered by random-divisor order checks.  Both square-root
-    branches of b are handled; the nonsquare one works over F_{p^2} and
-    feeds both sign choices into the same candidate pool.
+    branches of b are handled, and all arithmetic stays over F_p: the
+    nonsquare branch reads its F_{p^2} trace off a curve over F_p
+    (_descended_t6), recovers chi_A mod p by square roots for both sign
+    choices, and pools the lifts of both.
     """
     F = _coefficient_field(a, b)
     if F.k != 1:
@@ -395,42 +454,38 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
             for b2 in _lift_range(bt2, p, 6 * p):
                 pool.append((b1, b2))
     else:
-        K = make_extension(F, 2, seed=seed)
-        bK = embed(b.rep, F, K)
-        sb2 = K.sqrt(bK)
-        if sb2 is None:
-            raise InternalError("sqrt(b) missing over the quadratic extension")
-        c2 = K.div(K.neg(embed(a.rep, F, K)), K.mul(K.from_int(2), sb2))
-        E62 = curve_from_f(K, [K.mul(K.from_int(2), c2), K.from_int(-3),
-                               K.zero, K.one])
-        t62 = frobenius_trace(E62, provider)
-        transcript.append(f"t6 = {t62} over F_p^2 (sqrt(b) not in F_p)")
-        e = (p * p - 1) // 6
-        w = project(K.add(K.pow(sb2, 5 * e), K.pow(sb2, e)), K, F)
-        if w is None:
-            raise InternalError("the twist-unit sum escaped the prime field")
-        b22 = (t62 * t62) % p
-        inv2 = pow(2, -1, p)
+        t6 = _descended_t6(F, a.rep, b.rep, provider)
+        transcript.append(f"t6 = {t6} over F_p^2 (sqrt(b) not in F_p)")
+        # the twist-unit sum sqrt(b)^e + sqrt(b)^(5e) over F_{p^2},
+        # e = (p^2 - 1)/6, is b^(e/2) + b^(5e/2) in F_p
+        e = (p * p - 1) // 12
+        w = F.add(F.pow(b.rep, e), F.pow(b.rep, 5 * e))
+        b22 = F.from_int(t6 * t6)
+        seen = set()
         for sign in (1, -1):
             # over F_{p^2}: b12 = b1^2 - 2 b2 and b22 = b2^2 mod p
-            b12 = (-sign * t62 * w) % p
-            for b1 in range(-b1_box, b1_box + 1):
-                b2res = ((b1 * b1 - b12) * inv2) % p
-                for b2 in _lift_range(b2res, p, 6 * p):
-                    if (b2 * b2 - b22) % p:
-                        continue
-                    if (b1, b2) not in pool:
-                        pool.append((b1, b2))
+            b12 = F.el(F.mul(F.from_int(-sign * t6), w))
+            try:
+                roots = genus3_descend_mod_p(b12, b22)
+            except NoSolution:
+                continue
+            branch = sorted((b1, b2) for r1, r2 in roots
+                            for b1 in _lift_range(r1.rep, p, b1_box)
+                            for b2 in _lift_range(r2.rep, p, 6 * p))
+            for pair in branch:
+                if pair not in seen:
+                    seen.add(pair)
+                    pool.append(pair)
         transcript.append(f"both sign branches pooled {len(pool)} pairs")
 
     chiE_at_1 = 1 - t2 + p
-    kept = []
+    orders = {}
     for b1, b2 in pool:
         N = chiE_at_1 * (1 - b1 + b2 - b1 * p + p * p)
-        if N <= 0:
-            continue
-        if jacobian_order_check(C, N, trials, seed):
-            kept.append((b1, b2))
+        if N > 0:
+            orders[b1, b2] = N
+    passed = set(jacobian_order_screen(C, list(orders.values()), trials, seed))
+    kept = [pair for pair, N in orders.items() if N in passed]
     if not kept:
         raise NoCandidateSurvives("order checks eliminated every (b1, b2) pair")
     transcript.append(f"order checks kept {len(kept)} of {len(pool)} pairs")
@@ -444,6 +499,28 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
             tuples.append(t)
     return _final_result(p, 3, tuples, transcript,
                          curve=C, trials=trials, seed=seed)
+
+
+def _descended_t6(F, a, b, provider):
+    """Trace over F_{p^2} of y^2 = x^3 - 3x + 2c, c = -a/(2 sqrt(b)), b a
+    nonsquare mod p, computed over F_p.
+
+    c lies outside F_p, but s = c^2 = a^2/(4b) lies in it, and x -> c x,
+    y -> c^(3/2) y carries E': y^2 = x^3 - 3s x + 2s^2 to that curve.  So
+    the curve is E' twisted by c, a square in F_{p^2} exactly when its
+    norm -s is a square mod p, and t6 = chi_p(-s) (t'^2 - 2p) with t'
+    the trace of E' over F_p.  At a = 0 the curve is y^2 = x^3 - 3x
+    itself, defined over F_p.
+    """
+    p = F.p
+    if a == F.zero:
+        Ed = curve_from_f(F, [F.zero, F.from_int(-3), F.zero, F.one])
+        return frobenius_trace(Ed, provider) ** 2 - 2 * p
+    s = F.div(F.mul(a, a), F.mul(F.from_int(4), b))
+    Ed = curve_from_f(F, [F.mul(F.from_int(2), F.mul(s, s)),
+                          F.mul(F.from_int(-3), s), F.zero, F.one])
+    t = frobenius_trace(Ed, provider)
+    return F.legendre(F.neg(s)) * (t * t - 2 * p)
 
 
 def _lift_range(residue, p, bound):

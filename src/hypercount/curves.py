@@ -11,7 +11,7 @@ import random
 
 from . import polys
 from .config import DEFAULT_SEED, default_budget
-from .enumeration import count_curve_points
+from .enumeration import check_enumerable, count_curve_points
 from .errors import (BadGenus, CharacteristicDividesGenus, InternalError,
                      SingularCurve)
 from .fields import FieldElement, embed, make_extension
@@ -194,8 +194,21 @@ def lpoly_from_counts(q, g, counts):
     return LPoly(q, g, a)
 
 
+def check_oracle_budget(curve, budget=None):
+    """Raise BudgetExceeded unless zeta_oracle can count every F_{q^k}.
+
+    Refuses before anything is counted, naming the smallest field that
+    the count over F_{q^k}, k = 1..g, would refuse.
+    """
+    if budget is None:
+        budget = default_budget()
+    for k in range(1, curve.g + 1):
+        check_enumerable(curve.F.p, curve.F.k * k, budget)
+
+
 def zeta_oracle(curve, budget=None, seed=DEFAULT_SEED):
     """L-polynomial by brute-force counting over F_{q^k}, k = 1..g."""
+    check_oracle_budget(curve, budget)
     counts = [count_points(curve, k, budget=budget, seed=seed)
               for k in range(1, curve.g + 1)]
     return lpoly_from_counts(curve.F.q, curve.g, counts)
@@ -307,15 +320,41 @@ def random_divisor(curve, seed):
     raise InternalError("random divisor sampling exhausted its retries")
 
 
-def jacobian_order_check(curve, N, trials, seed):
-    """True iff N*D = 0 for `trials` sampled divisors; False is conclusive."""
+def jacobian_order_screen(curve, orders, trials, seed):
+    """The orders N with N*D = 0 for `trials` sampled divisors, in input order.
+
+    Trial t samples the same divisor D_t for every order, so the verdict
+    on each N is that of jacobian_order_check.  The surviving orders are
+    walked in ascending order and N*D_t is reached from the previous
+    multiple by adding (gap)*D_t; those multiples are cached per gap, so
+    orders in arithmetic progression cost one addition each.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if N <= 0:
+    if any(N <= 0 for N in orders):
         raise ValueError("order must be positive")
+    alive = sorted(set(orders))
     for t in range(trials):
+        if not alive:
+            break
         rng = random.Random(repr((seed, "order-check", t, curve.F.p, curve.F.k)))
         D = random_divisor(curve, rng)
-        if not is_identity(jac_scalar_mul(curve, N, D)):
-            return False
-    return True
+        steps = {}
+        acc, prev, kept = jac_identity(curve), 0, []
+        for N in alive:
+            gap = N - prev
+            step = steps.get(gap)
+            if step is None:
+                step = steps[gap] = jac_scalar_mul(curve, gap, D)
+            acc = step if prev == 0 else jac_add(curve, acc, step)
+            prev = N
+            if is_identity(acc):
+                kept.append(N)
+        alive = kept
+    passed = set(alive)
+    return [N for N in orders if N in passed]
+
+
+def jacobian_order_check(curve, N, trials, seed):
+    """True iff N*D = 0 for `trials` sampled divisors; False is conclusive."""
+    return bool(jacobian_order_screen(curve, [N], trials, seed))

@@ -7,7 +7,8 @@ contributes 1 + chi2(f(x)) points, so the total is 1 + 2S - Z where S is the
 number of x with f(x) a square (zero included) and Z the number of zeros.
 
 int64 stays exact: digit products are < p^2 and at most k of them accumulate
-before a reduction, and the q <= budget guard keeps p^2 far from 2^63.
+before a reduction, and packed indices are < q.  `check_enumerable` refuses
+any field where that fails, whatever the budget.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import BudgetExceeded
 
 _CHUNK = 1 << 16
+_INT64_LIMIT = 1 << 63
 
 
 def _digit_chunks(p, k, q):
@@ -108,11 +110,26 @@ def _count_prime(F, fcoeffs):
     return 1 + 2 * S - Z
 
 
+def check_enumerable(p, k, budget):
+    """Raise BudgetExceeded unless F_{p^k} can be enumerated.
+
+    The field must fit the budget, and the int64 arithmetic above must
+    stay exact: p^2 < 2^63 over F_p, k p^2 < 2^63 and q < 2^63 over an
+    extension.  Nothing is allocated here.
+    """
+    q = p ** k
+    if q > budget:
+        raise BudgetExceeded(
+            f"field size {q} exceeds enumeration budget {budget}")
+    if k * p * p >= _INT64_LIMIT or q >= _INT64_LIMIT:
+        raise BudgetExceeded(
+            f"enumerating the field of size {q} (p = {p}, k = {k}) would "
+            f"overflow int64: it needs k p^2 and q below 2^63")
+
+
 def count_curve_points(F, fcoeffs, budget):
     """#{(x,y) : y^2 = f(x)} + 1 over the field described by F."""
-    if F.q > budget:
-        raise BudgetExceeded(
-            f"field size {F.q} exceeds enumeration budget {budget}")
+    check_enumerable(F.p, F.k, budget)
     if F.k == 1:
         return _count_prime(F, fcoeffs)
     return _count_ext(F, fcoeffs)

@@ -4,18 +4,23 @@ import random
 
 import pytest
 
+from hypercount import curves
 from hypercount.counting import (INCONCLUSIVE, SKIPPED, ChiResult,
-                                 TraceProvider, _lift_range, chi_generic,
-                                 chi_genus3, chi_genus4, frobenius_trace,
-                                 is_probably_irreducible,
+                                 TraceProvider, _descended_t6, _lift_range,
+                                 chi_generic, chi_genus3, chi_genus4,
+                                 frobenius_trace, is_probably_irreducible,
                                  legendre_octic_congruence,
                                  legendre_trace_congruence)
-from hypercount.curves import curve_from_ab, curve_from_f, zeta_oracle
+from hypercount.curves import (count_points, curve_from_ab, curve_from_f,
+                               zeta_oracle)
+from hypercount.decomp import elliptic_quotient
+from hypercount.descent import CandidateSet, weil_filter
 from hypercount.errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus,
                                NoCandidateSurvives, NotPrimeField,
                                SingularSpecialization, ZeroPolynomial)
-from hypercount.fields import legendre_symbol, make_extension, make_prime_field
+from hypercount.fields import (embed, legendre_symbol, make_extension,
+                               make_prime_field)
 
 
 def test_trace_provider_validation():
@@ -27,7 +32,7 @@ def test_trace_provider_validation():
 
 def test_frobenius_trace_naive_vs_bsgs():
     rng = random.Random(20)
-    for p in (11, 13, 101, 1009):
+    for p in (3, 5, 7, 11, 13, 101, 1009):
         F = make_prime_field(p)
         for _ in range(3):
             a, b = rng.randrange(p), rng.randrange(1, p)
@@ -102,6 +107,66 @@ def test_chi_genus3_matches_oracle_both_branches():
             else:
                 assert want.a in res.tuples
             seen.add(legendre_symbol(F, b))
+        # a = 0 with b a nonsquare takes the descended trace's own branch
+        b = next(v for v in range(2, p) if legendre_symbol(F, v) == -1)
+        want = zeta_oracle(curve_from_ab(F, 3, 0, b))
+        for method in ("naive_count", "bsgs"):
+            res = chi_genus3(F.el(0), F.el(b), provider=TraceProvider(method))
+            assert want.a in res.tuples
+            if res.status == "unique":
+                assert res.coefficients == want.a
+
+
+def test_descended_t6_matches_count_over_quadratic_extension():
+    # the trace over F_{p^2} of y^2 = x^3 - 3x + 2c, c = -a/(2 sqrt(b)),
+    # counted there directly, against the trace read off a curve over F_p
+    for p in (5, 7, 11, 13):
+        F = make_prime_field(p)
+        K = make_extension(F, 2)
+        for b in range(1, p):
+            if legendre_symbol(F, b) != -1:
+                continue
+            sb = K.sqrt(embed(b, F, K))
+            for a in range(p):
+                c = K.div(K.from_int(-a), K.mul(K.from_int(2), sb))
+                E62 = curve_from_f(K, [K.mul(K.from_int(2), c),
+                                       K.from_int(-3), K.zero, K.one])
+                want = K.q + 1 - count_points(E62, 1)
+                for method in ("naive_count", "bsgs"):
+                    assert _descended_t6(F, a, b, TraceProvider(method)) \
+                        == want, (p, a, b, method)
+
+
+@pytest.mark.parametrize("b", [4, 5])
+def test_chi_genus3_at_42_bits(b):
+    # the paper's scale: b = 4 is a square mod p, b = 5 is not
+    p = 4398046511233
+    a = 4231746819984
+    F = make_prime_field(p)
+    assert legendre_symbol(F, b) == (1 if b == 4 else -1)
+    provider = TraceProvider("bsgs")
+    res = chi_genus3(F.el(a), F.el(b), provider=provider)
+    assert res.status == "unique"
+    assert len(weil_filter(CandidateSet(p, 3, res.tuples))) == 1
+    t2 = frobenius_trace(elliptic_quotient(F, 3, a, b), provider)
+    assert res.order() % (p + 1 - t2) == 0
+
+
+def test_chi_generic_refuses_over_budget_before_counting(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a point count ran")
+
+    monkeypatch.setattr(curves, "count_curve_points", spy)
+    monkeypatch.delenv("HYPERCOUNT_BUDGET", raising=False)
+    F = make_prime_field(13)
+    with pytest.raises(BudgetExceeded,
+                       match="field size 815730721 exceeds enumeration "
+                             "budget 10000000"):
+        chi_generic(curve_from_ab(F, 7, 12, 11))
+    assert calls == []
 
 
 def test_chi_genus3_with_bsgs_provider():

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from hypercount import polys
+from hypercount import curves, polys
 from hypercount.curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                                curve_from_f, is_identity, jac_add,
                                jac_identity, jac_neg, jac_scalar_mul,
-                               jacobian_order_check, lpoly_from_counts,
-                               mumford_valid, quadratic_twist, random_divisor,
-                               zeta_oracle)
+                               jacobian_order_check, jacobian_order_screen,
+                               lpoly_from_counts, mumford_valid,
+                               quadratic_twist, random_divisor, zeta_oracle)
+from hypercount.enumeration import check_enumerable, count_curve_points
 from hypercount.errors import (BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus, InternalError,
                                SingularCurve)
@@ -84,6 +85,34 @@ def test_count_points_extension_consistency():
     assert C.base_extend(1) is C
     with pytest.raises(BudgetExceeded):
         count_points(C, 2, budget=10)
+
+
+def test_count_points_refuses_int64_overflow():
+    # with the budget lifted, p^2 >= 2^63 would wrap numpy's int64
+    # products; the guard refuses before anything is allocated
+    F = make_prime_field(3037000507)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        count_curve_points(F, [0, 1, 0, 1], 10 ** 30)
+    check_enumerable(3037000499, 1, 10 ** 30)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        check_enumerable(2147483659, 2, 10 ** 30)  # k p^2 >= 2^63
+    with pytest.raises(BudgetExceeded, match="int64"):
+        check_enumerable(3, 40, 10 ** 30)  # q >= 2^63
+
+
+def test_zeta_oracle_refuses_over_budget_before_counting(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a point count ran")
+
+    monkeypatch.setattr(curves, "count_curve_points", spy)
+    C = curve_from_ab(make_prime_field(13), 3, 2, 5)
+    with pytest.raises(BudgetExceeded,
+                       match="field size 2197 exceeds enumeration budget 169"):
+        zeta_oracle(C, budget=169)
+    assert calls == []
 
 
 def test_lpoly_functional_equation():
@@ -215,6 +244,44 @@ def test_jacobian_order_kills_divisors():
         jacobian_order_check(C, N, 0, seed=42)
     with pytest.raises(ValueError):
         jacobian_order_check(C, 0, 3, seed=42)
+
+
+def _killed_by_every_trial(C, N, trials, seed):
+    # the per-order loop, one scalar multiplication per trial
+    for t in range(trials):
+        rng = random.Random(repr((seed, "order-check", t, C.F.p, C.F.k)))
+        if not is_identity(jac_scalar_mul(C, N, random_divisor(C, rng))):
+            return False
+    return True
+
+
+def test_jacobian_order_screen_matches_per_order_checks():
+    rng = random.Random(5)
+    for g, p in ((1, 101), (2, 13), (3, 11)):
+        F = make_prime_field(p)
+        while True:
+            a, b = rng.randrange(p), rng.randrange(1, p)
+            if (a * a - 4 * b) % p:
+                break
+        C = curve_from_ab(F, g, a, b)
+        N = zeta_oracle(C).order()
+        d = rng.randrange(2, 3 * p)
+        progression = [N + k * d for k in range(-3, 4) if N + k * d > 0]
+        multiples = [3 * N, N, 2 * N, N + 1, N, 6 * N]
+        unrelated = [rng.randrange(1, 4 * N) for _ in range(8)]
+        for orders in (progression, multiples, unrelated):
+            for trials in (1, 4):
+                got = jacobian_order_screen(C, orders, trials, seed=7)
+                assert got == [M for M in orders
+                               if jacobian_order_check(C, M, trials, 7)]
+                assert got == [M for M in orders
+                               if _killed_by_every_trial(C, M, trials, 7)]
+        assert N in jacobian_order_screen(C, progression, 4, seed=7)
+    assert jacobian_order_screen(C, [], 3, seed=7) == []
+    with pytest.raises(ValueError):
+        jacobian_order_screen(C, [N], 0, seed=7)
+    with pytest.raises(ValueError):
+        jacobian_order_screen(C, [N, 0], 3, seed=7)
 
 
 def test_mumford_valid_rejects():
