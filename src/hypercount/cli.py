@@ -2,7 +2,8 @@
 
 Subcommands: count, zeta-oracle, cm-matrix, chi-mod-p, verify-table,
 verify-congruences, decompose.  Exit codes: 0 success, 1 bad input,
-2 budget exceeded, 3 ambiguous result, 4 verification counterexample.
+2 budget exceeded, 3 ambiguous result, 4 verification counterexample,
+5 internal error (a bug, or the machine ran out of a resource).
 
 Integers that can outgrow 64 bits (field sizes, chi coefficients,
 orders, matrix entries) travel as decimal strings; inputs accept 0x
@@ -16,6 +17,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from . import cartier
@@ -26,7 +28,7 @@ from .curves import curve_from_ab, curve_from_f, zeta_oracle
 from .decomp import splitting_field_degree, twist_curves
 from .descent import extend_lpoly
 from .errors import (AmbiguousResult, BudgetExceeded, HypercountError,
-                     MismatchDetected, SingularSpecialization)
+                     InternalError, MismatchDetected, SingularSpecialization)
 from .fields import FieldElement, is_prime, make_prime_field
 
 EXIT_OK = 0
@@ -34,6 +36,7 @@ EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_AMBIGUOUS = 3
 EXIT_COUNTEREXAMPLE = 4
+EXIT_INTERNAL = 5
 
 # --which accepts either the behavioral name or the shorthand users of
 # the verification reports tend to reach for.
@@ -513,6 +516,13 @@ def build_parser():
     return ap
 
 
+def _internal_error(e):
+    """Exit 5 for a bug or an exhausted resource.  The traceback goes to
+    stderr for the bug report; stdout keeps the JSON contract."""
+    traceback.print_exc()
+    return EXIT_INTERNAL, {"error": type(e).__name__, "detail": str(e)}
+
+
 def main(argv=None):
     ap = build_parser()
     try:
@@ -533,10 +543,14 @@ def main(argv=None):
     except MismatchDetected as e:
         code, payload = EXIT_COUNTEREXAMPLE, {"error": "MismatchDetected",
                                               "detail": str(e)}
+    except InternalError as e:
+        code, payload = _internal_error(e)
     except (HypercountError, ValueError, OSError,
             json.JSONDecodeError) as e:
         code, payload = EXIT_INPUT, {"error": type(e).__name__,
                                      "detail": str(e)}
+    except Exception as e:  # MemoryError included
+        code, payload = _internal_error(e)
     _emit(payload, args)
     return code
 

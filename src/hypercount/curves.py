@@ -258,8 +258,12 @@ def _reduce(curve, u, v):
     return polys.monic(F, u), v
 
 
-def jac_add(curve, D1, D2):
-    """Cantor composition + reduction."""
+def _cantor_add(curve, D1, D2):
+    """Cantor composition + reduction, over any field.
+
+    jac_add falls back to it when the prime-field composition does not
+    apply (u1, u2 share a root, or a doubled divisor meets y = 0).
+    """
     F, f = curve.F, curve.f
     u1, v1 = D1
     u2, v2 = D2
@@ -282,16 +286,173 @@ def jac_add(curve, D1, D2):
     return _reduce(curve, u3, v3)
 
 
-def jac_scalar_mul(curve, n, D):
-    if n < 0:
-        return jac_scalar_mul(curve, -n, jac_neg(curve, D))
-    acc = jac_identity(curve)
-    base = D
+# Prime-field composition (Cohen-Frey et al., Handbook of Elliptic and
+# Hyperelliptic Curve Cryptography, 14.3) on lists of ints with inline % p.
+# Inputs are reduced pairs, so u1, u2 are monic and nonzero polynomials.
+
+def _trim_p(a):
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    del a[n:]
+    return a
+
+
+def _mul_p(a, b):
+    """a*b for nonzero a, b; unreduced coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _divmod_p(a, m, p):
+    """(a // m, a mod m) for the monic m; the remainder as exactly deg(m)
+    reduced coefficients."""
+    n = len(m) - 1
+    r = list(a) + [0] * (n - len(a))
+    q = [0] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n] % p
+        if c:
+            for i in range(n):
+                r[k + i] -= c * m[i]
+    return q, [c % p for c in r[:n]]
+
+
+def _exact_quo_p(t, m, p):
+    """t / m for the monic m; t's top coefficient is nonzero mod p, so the
+    quotient needs no trimming."""
+    q, r = _divmod_p(t, m, p)
+    if any(r):
+        raise InternalError("prime-field composition: inexact division")
+    return q
+
+
+def _f_minus_square(f, v):
+    """f - v^2, unreduced; its top coefficient is nonzero mod p because
+    deg f is odd and deg v^2 even."""
+    t = f + [0] * (2 * len(v) - 1 - len(f))
+    for i, x in enumerate(v):
+        if x:
+            t[2 * i] -= x * x
+            x2 = 2 * x
+            for j in range(i + 1, len(v)):
+                t[i + j] -= x2 * v[j]
+    return t
+
+
+def _solve_p(a, r, m, p):
+    """s with deg s < deg m and s*a = r (mod m), for the monic m; None if
+    a and m share a root.  Column j of the system is x^j * a mod m."""
+    n = len(m) - 1
+    col = _divmod_p(a, m, p)[1]
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(c - top * mi) % p for c, mi in zip(col, m)]
+        cols.append(col)
+    rows = [list(row) for row in zip(*cols, _divmod_p(r, m, p)[1])]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        pr = rows[c] = [x * inv % p for x in rows[c]]
+        for i in range(n):
+            h = rows[i][c]
+            if i != c and h:
+                rows[i] = [(x - h * y) % p for x, y in zip(rows[i], pr)]
+    return _trim_p([row[n] for row in rows])
+
+
+def _prime_add(curve, D1, D2):
+    """D1 + D2 over F_p, or None when Cantor's composition is needed."""
+    p, f, g = curve.F.p, curve.f, curve.g
+    (u1, v1), (u2, v2) = D1, D2
+    if len(u1) == 1:
+        u, v = u2, v2
+    elif len(u2) == 1:
+        u, v = u1, v1
+    else:
+        if u1 == u2 and v1 == v2:
+            # doubling: s*2v = (f - v^2)/u (mod u), U = u^2, V = v + s*u
+            k = _exact_quo_p(_f_minus_square(f, v1), u1, p)
+            s = _solve_p([2 * x for x in v1], k, u1, p)
+        else:
+            if len(u1) < len(u2):  # the system has deg u2 unknowns
+                (u1, v1), (u2, v2) = D2, D1
+            # coprime: s*u1 = v2 - v1 (mod u2), U = u1*u2, V = v1 + s*u1
+            d = [-x for x in v1] + [0] * (len(v2) - len(v1))
+            for i, y in enumerate(v2):
+                d[i] += y
+            s = _solve_p(u1, d, u2, p)
+        if s is None:
+            return None
+        u = [c % p for c in _mul_p(u1, u2)]
+        if s:
+            v = _mul_p(s, u1)
+            for i, x in enumerate(v1):
+                v[i] += x
+            v = [c % p for c in v]
+        else:
+            v = v1
+    while len(u) - 1 > g:
+        q = _exact_quo_p(_f_minus_square(f, v), u, p)
+        if q[-1] != 1:
+            inv = pow(q[-1], -1, p)
+            q = [c * inv % p for c in q]
+        u, v = q, _trim_p(_divmod_p([-c for c in v], q, p)[1])
+    return u, v
+
+
+def jac_add(curve, D1, D2):
+    """D1 + D2 as a reduced Mumford pair.
+
+    Over F_p this is the coprime-addition or doubling composition above;
+    Cantor's composition covers extension fields and the cases it leaves
+    (a shared root, or y = 0 at a doubled point).  Reduced pairs are
+    unique, so both give the same answer.
+    """
+    if curve.F.k == 1:
+        D = _prime_add(curve, D1, D2)
+        if D is not None:
+            return D
+    return _cantor_add(curve, D1, D2)
+
+
+def _naf(n):
+    """Non-adjacent form of n >= 0, least significant digit first."""
+    digits = []
     while n:
         if n & 1:
-            acc = jac_add(curve, acc, base)
-        base = jac_add(curve, base, base)
+            d = 2 - (n & 3)
+            n -= d
+        else:
+            d = 0
+        digits.append(d)
         n >>= 1
+    return digits
+
+
+def jac_scalar_mul(curve, n, D):
+    """n*D by left-to-right double-and-add on the non-adjacent form of n."""
+    if n < 0:
+        return jac_scalar_mul(curve, -n, jac_neg(curve, D))
+    digits = _naf(n)
+    if not digits:
+        return jac_identity(curve)
+    neg = jac_neg(curve, D) if -1 in digits else None
+    acc = D
+    for d in reversed(digits[:-1]):
+        acc = jac_add(curve, acc, acc)
+        if d:
+            acc = jac_add(curve, acc, D if d > 0 else neg)
     return acc
 
 

@@ -15,8 +15,11 @@ from .config import DEFAULT_SEED
 from .errors import (DivisionByZero, EvenCharacteristic, InternalError,
                      NoRootInField, NotPrime, NotPrimeField, ZeroRadicand)
 
-# deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 2017); above it
+# is_prime is only a probable-prime test, so make_prime_field refuses such p.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
@@ -261,9 +264,6 @@ class PrimeField(FieldDesc):
     def rand(self, rng):
         return rng.randrange(self.p)
 
-    def elements(self):
-        return iter(range(self.p))
-
     def sqrt(self, a):
         """Canonical square root (the smaller representative) or None."""
         p = self.p
@@ -419,16 +419,6 @@ class ExtensionField(FieldDesc):
         p = self.p
         return tuple(rng.randrange(p) for _ in range(self.k))
 
-    def elements(self):
-        p, k = self.p, self.k
-        for idx in range(self.q):
-            out = []
-            v = idx
-            for _ in range(k):
-                out.append(v % p)
-                v //= p
-            yield tuple(out)
-
     def sqrt(self, a):
         if a == self.zero:
             return self.zero
@@ -484,6 +474,9 @@ def make_prime_field(p):
     got = _PRIME_CACHE.get(p)
     if got is not None:
         return got
+    if p >= MR_DETERMINISTIC_BOUND:
+        raise NotPrime(f"{p} is too large: primality is proven only "
+                       f"below {MR_DETERMINISTIC_BOUND}")
     if p < 2 or not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     F = PrimeField(p)

@@ -2,9 +2,10 @@
 
 Every test drives cli.main(argv) in-process and parses the JSON it
 prints.  Exit codes under test: 0 success, 1 bad input, 2 budget,
-3 ambiguous.  Code 4 (verification counterexample) has no reachable
-trigger because the identities under sweep hold; the sweeps here
-assert ok == True instead.
+3 ambiguous, 5 internal error (through a monkeypatched handler).
+Code 4 (verification counterexample) has no reachable trigger because
+the identities under sweep hold; the sweeps here assert ok == True
+instead.
 """
 
 import io
@@ -16,6 +17,7 @@ import pytest
 
 from hypercount import cli
 from hypercount.config import BUDGET_ENV
+from hypercount.errors import InternalError
 
 
 def _run(argv, env=None):
@@ -101,6 +103,15 @@ def test_count_rejects_composite_p():
     assert out["error"] == "NotPrime"
 
 
+def test_strong_pseudoprime_to_first_twelve_bases_is_rejected():
+    # 399165290221 * 798330580441 passes Miller-Rabin to the bases 2..37
+    code, out, _ = _run(["chi-mod-p", "--p", "318665857834031151167461",
+                         "--genus", "2", "--a", "1", "--b", "3"])
+    assert code == 1
+    assert out == {"error": "NotPrime",
+                   "detail": "318665857834031151167461 is not prime"}
+
+
 def test_count_missing_flag():
     code, out, _ = _run(["count", "--p", "13", "--genus", "3", "--a", "2"])
     assert code == 1
@@ -113,6 +124,19 @@ def test_argparse_failures_map_to_input_error():
         assert code == 1 and out is None
     code, _, _ = _run(["--help"])
     assert code == 0
+
+
+@pytest.mark.parametrize("exc", [InternalError("inexact division"),
+                                 MemoryError("numpy could not allocate")])
+def test_internal_failures_exit_5(monkeypatch, capsys, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_count", broken)
+    code, out, _ = _run(WORKED)
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == {"error": type(exc).__name__, "detail": str(exc)}
+    assert "Traceback" in capsys.readouterr().err
 
 
 # --- zeta-oracle ---

@@ -7,8 +7,9 @@ import pytest
 from hypercount.errors import (DivisionByZero, EvenCharacteristic,
                                NoRootInField, NotPrime, NotPrimeField,
                                ZeroRadicand)
-from hypercount.fields import (FieldElement, embed, field_arith, introot,
-                               is_prime, legendre_symbol, make_extension,
+from hypercount.fields import (MR_DETERMINISTIC_BOUND, FieldElement, embed,
+                               field_arith, introot, is_prime,
+                               legendre_symbol, make_extension,
                                make_prime_field, next_prime, nth_root,
                                nth_root_field_degree, prime_factors, project)
 
@@ -20,6 +21,15 @@ def test_make_prime_field_basic():
         make_prime_field(4)
     with pytest.raises(EvenCharacteristic):
         make_prime_field(2)
+
+
+def test_make_prime_field_refuses_p_beyond_proven_primality():
+    # the bound is itself a strong pseudoprime to the 13 bases in use
+    bound = MR_DETERMINISTIC_BOUND
+    assert is_prime(bound)
+    for p in (bound, next_prime(bound)):
+        with pytest.raises(NotPrime, match=str(bound)):
+            make_prime_field(p)
 
 
 def test_make_extension_identity_and_square():
@@ -161,6 +171,8 @@ def test_project_inverts_embed():
 def test_integer_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91)
     assert is_prime(2**61 - 1)
+    # strong pseudoprime to the bases 2..37; base 41 exposes it
+    assert not is_prime(399165290221 * 798330580441)
     assert next_prime(13) == 17
     assert next_prime(14) == 17
     assert prime_factors(12) == [2, 3]
