@@ -13,10 +13,9 @@ from .cartier import (CMMatrix, ChiModP, chi_mod_p, chi_mod_p_table,
                       cm_matrix_formula, cm_matrix_naive,
                       permutation_structure, wp_product)
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .counting import (INCONCLUSIVE, SKIPPED, ChiResult, TraceProvider,
-                       chi_generic, chi_genus3, chi_genus4, frobenius_trace,
-                       is_probably_irreducible, legendre_octic_congruence,
-                       legendre_trace_congruence)
+from .counting import (INCONCLUSIVE, SKIPPED, TraceProvider, chi_generic,
+                       chi_genus3, frobenius_trace, is_probably_irreducible,
+                       legendre_octic_congruence, legendre_trace_congruence)
 from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,
                      jac_scalar_mul, jacobian_order_check,
@@ -26,8 +25,8 @@ from .decomp import (QuotientPair, decomposition_check, elliptic_quotient,
                      quotients_family, quotients_normalized, split_quotients,
                      splitting_field_degree, twist_curves)
 from .descent import (CandidateSet, a1_elimination_coeffs, extend_lpoly,
-                      generic_descend, genus2_twist_combine,
-                      genus3_descend_mod_p, genus4_descend, weil_filter)
+                      generic_descend, genus3_descend_mod_p, genus4_descend,
+                      weil_filter)
 from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                      CharacteristicDividesGenus, HypercountError,
                      MismatchDetected, NoCandidateSurvives, NotPrime,

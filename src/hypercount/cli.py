@@ -9,7 +9,7 @@ Integers that can outgrow 64 bits (field sizes, chi coefficients,
 orders, matrix entries) travel as decimal strings; inputs accept 0x
 hex.  The same invocation with the same seed prints byte-identical
 JSON: every random draw is derived from the seed and report rows are
-sorted by (g, p, a, b) regardless of worker-thread completion order.
+sorted by (g, p, a, b).
 """
 
 import argparse
@@ -18,11 +18,10 @@ import os
 import random
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cartier
 from .config import BUDGET_ENV, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .counting import (TraceProvider, chi_generic, chi_genus3, chi_genus4,
+from .counting import (TraceProvider, chi_generic, chi_genus3,
                        legendre_octic_congruence, legendre_trace_congruence)
 from .curves import curve_from_ab, curve_from_f, zeta_oracle
 from .decomp import splitting_field_degree, twist_curves
@@ -123,8 +122,6 @@ def cmd_count(args):
     if g == 3:
         provider = TraceProvider(method=args.trace_method)
         res = chi_genus3(fa, fb, provider, trials=args.trials, seed=args.seed)
-    elif g == 4:
-        res = chi_genus4(fa, fb, trials=args.trials, seed=args.seed)
     else:
         C = curve_from_ab(F, g, fa.rep, fb.rep)
         res = chi_generic(C, trials=args.trials, seed=args.seed)
@@ -235,19 +232,12 @@ def cmd_verify_table(args):
     for g in genera:
         if not 2 <= g <= 7:
             raise ValueError(f"genus {g} outside 2..7")
-    tasks = []
+    rows = []
     for g in genera:
         for p in _primes(3, args.p_max):
             if g % p == 0:
                 continue
-            make_prime_field(p)  # warm the cache before threads race it
-            tasks.append((g, p))
-    rows = []
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        futs = [pool.submit(_table_rows_for, g, p, args.trials_per_row,
-                            args.seed) for g, p in tasks]
-        for f in futs:
-            rows.extend(f.result())
+            rows.extend(_table_rows_for(g, p, args.trials_per_row, args.seed))
     rows.sort(key=lambda r: (r["g"], r["p"], r["a"], r["b"]))
     warnings = []
     for g in genera:
@@ -332,19 +322,12 @@ def _matrix_rows_for(g, p, count, seed):
 
 
 def _verify_matrix(args):
-    tasks = []
+    rows = []
     for g in range(2, args.genus_max + 1):
         for p in _primes(3, args.p_max):
             if g % p == 0:
                 continue
-            make_prime_field(p)
-            tasks.append((g, p))
-    rows = []
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        futs = [pool.submit(_matrix_rows_for, g, p, args.count, args.seed)
-                for g, p in tasks]
-        for f in futs:
-            rows.extend(f.result())
+            rows.extend(_matrix_rows_for(g, p, args.count, args.seed))
     rows.sort(key=lambda r: (r["g"], r["p"], r["a"], r["b"]))
     failures = [r for r in rows if not r["match"]]
     return {"which": "matrix", "p_max": args.p_max,
@@ -529,6 +512,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
+    # the budget reaches the library through os.environ for this call
+    # only; an in-process caller gets its environment back unchanged
+    prior = os.environ.get(BUDGET_ENV)
     try:
         _apply_budget(args)
         code, payload = args.handler(args)
@@ -551,6 +537,11 @@ def main(argv=None):
                                      "detail": str(e)}
     except Exception as e:  # MemoryError included
         code, payload = _internal_error(e)
+    finally:
+        if prior is None:
+            os.environ.pop(BUDGET_ENV, None)
+        else:
+            os.environ[BUDGET_ENV] = prior
     _emit(payload, args)
     return code
 

@@ -19,10 +19,9 @@ from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
                      curve_from_f, jacobian_order_screen, zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
 from .descent import (CandidateSet, _factor_mod, _order_check_prune,
-                      extend_lpoly, generic_descend, genus2_twist_combine,
-                      genus3_descend_mod_p, genus4_descend, weil_filter)
-from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
-                     CharacteristicDividesGenus, EmptyAfterFilter,
+                      extend_lpoly, generic_descend, genus3_descend_mod_p,
+                      genus4_descend, weil_filter)
+from .errors import (BadGenus, BudgetExceeded, CharacteristicDividesGenus,
                      InternalError, NoCandidateSurvives, NoSolution,
                      NonResidueDiscriminant, NotPrimeField,
                      SingularSpecialization, ZeroPolynomial)
@@ -200,60 +199,6 @@ def _bsgs_group_order(E):
 
 # --- results ---
 
-class ChiResult:
-    """Outcome of a counting algorithm: one tuple (a_1..a_g), or a few.
-
-    Split Jacobians can tie every filter, so tuples may hold more than
-    one candidate; status says which case occurred and the transcript
-    records what was counted and how each pruning stage went.
-    """
-
-    __slots__ = ("q", "g", "tuples", "transcript")
-
-    def __init__(self, q, g, tuples, transcript=None):
-        self.q = q
-        self.g = g
-        self.tuples = [tuple(int(c) for c in t) for t in tuples]
-        if not self.tuples:
-            raise NoCandidateSurvives("a ChiResult needs at least one tuple")
-        self.transcript = list(transcript or [])
-
-    @property
-    def status(self):
-        return "unique" if len(self.tuples) == 1 else "ambiguous"
-
-    @property
-    def coefficients(self):
-        if len(self.tuples) != 1:
-            raise AmbiguousResult(self.tuples)
-        return self.tuples[0]
-
-    def lpoly(self):
-        return LPoly(self.q, self.g, self.coefficients)
-
-    def order(self):
-        return self.lpoly().order()
-
-    def to_json(self):
-        return {
-            "q": str(self.q),
-            "g": self.g,
-            "status": self.status,
-            "candidates": [[str(c) for c in t] for t in self.tuples],
-            "transcript": list(self.transcript),
-        }
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __repr__(self):
-        return (f"ChiResult(q={self.q}, g={self.g}, {self.status}, "
-                f"{len(self.tuples)} tuple(s))")
-
-
 def _refilter(cs, keep, transcript, label):
     if not keep:
         raise NoCandidateSurvives(f"{label} eliminated every tuple")
@@ -273,11 +218,7 @@ def _final_result(q, g, tuples, transcript, curve=None,
     itself (pins the trace exactly; skipped over budget), and the order
     checks over the base field and small extensions.
     """
-    try:
-        cs = weil_filter(CandidateSet(q, g, [list(t) for t in tuples]))
-    except EmptyAfterFilter:
-        raise NoCandidateSurvives(
-            "every remaining tuple violates the Weil constraints") from None
+    cs = weil_filter(CandidateSet(q, g, tuples))
     if len(cs) < len(tuples):
         transcript.append(f"final Weil filter: {len(tuples)} -> {len(cs)}")
     if curve is not None and len(cs) > 1:
@@ -301,13 +242,10 @@ def _final_result(q, g, tuples, transcript, curve=None,
     if curve is not None and len(cs) > 1:
         before = len(cs)
         cs = _order_check_prune(cs, curve, trials, seed)
-        if len(cs) == 0:
-            raise NoCandidateSurvives(
-                "order checks eliminated every remaining tuple")
         if len(cs) < before:
             transcript.append(
                 f"extension order checks: {before} -> {len(cs)}")
-    return ChiResult(q, g, cs.tuples, transcript)
+    return CandidateSet(q, g, cs.tuples, transcript)
 
 
 def _prime_factorization(n):
@@ -323,6 +261,11 @@ def _prime_factorization(n):
 
 # --- the general splitting-field algorithm ---
 
+def _odd_flipped(a):
+    """a_1..a_g of L(-T): the odd coefficients change sign."""
+    return [-v if i % 2 == 0 else v for i, v in enumerate(a)]
+
+
 def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """chi of a family curve by splitting-field assembly plus descent.
 
@@ -330,7 +273,13 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     c = a/sqrt(b), is counted over F_q[sqrt(b)]; the product is pushed
     up to F_{q^K} (K the degree of b^(1/2g), where the curve and its
     normal form agree up to a quadratic twist) and then walked back down
-    to F_q one prime degree at a time.
+    to F_q one prime degree at a time.  For even g only X1 is counted:
+    x -> -x carries it to X2 twisted by -1 (D_g is even), so L_X2(T) is
+    L_X1(T) when -1 is a square in F_q[sqrt(b)] and L_X1(-T) otherwise.
+
+    Each descent step runs the degree-16 eliminant at g = 4 and the
+    real-Weil-polynomial route otherwise; whatever re-extends then faces
+    the Weil filter and the order checks over the field it landed in.
     """
     if not curve.is_family:
         raise ValueError("chi_generic needs the two-parameter family shape")
@@ -354,9 +303,15 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     c = q1f.div(embed(curve.a, F, q1f), sb)
     pair = quotients_normalized(q1f, g, c)
     check_oracle_budget(pair.X1)
-    check_oracle_budget(pair.X2)
+    if g % 2:
+        check_oracle_budget(pair.X2)
     L1 = zeta_oracle(pair.X1, seed=seed)
-    L2 = zeta_oracle(pair.X2, seed=seed)
+    if g % 2:
+        L2 = zeta_oracle(pair.X2, seed=seed)
+    elif q1f.q % 4 == 1:
+        L2 = L1
+    else:
+        L2 = LPoly(q1f.q, L1.g, _odd_flipped(L1.a))
     transcript.append(
         f"quotients of the normal form over F_q^{q1f.k // F.k}: "
         f"genus {pair.X1.g} and {pair.X2.g} counted")
@@ -367,11 +322,12 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     # x -> beta*x scales the right side by beta^(2g+1); a nonsquare
     # scale is exactly the quadratic twist, flipping odd coefficients
     if KF.legendre(KF.mul(KF.pow(beta, 2 * g), beta)) == -1:
-        a_top = [-v if i % 2 == 0 else v for i, v in enumerate(a_top)]
+        a_top = _odd_flipped(a_top)
         transcript.append("twist correction over the splitting field: "
                           "odd coefficients flipped")
     transcript.append(f"splitting degree K = {K}; L over F_q^{K} assembled")
 
+    descend = genus4_descend if g == 4 else generic_descend
     tuples = [tuple(a_top)]
     n = K
     for kj in _prime_factorization(K):
@@ -379,9 +335,11 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         target = curve.base_extend(i, seed=seed)
         S = []
         for t in tuples:
+            found = descend(LPoly(F.q ** n, g, list(t)), kj, seed)
+            # t drops out when nothing re-extends or every tuple fails
             try:
-                cs = generic_descend(LPoly(F.q ** n, g, list(t)), kj,
-                                     target, trials, seed)
+                cs = weil_filter(CandidateSet(F.q ** i, g, found))
+                cs = _order_check_prune(cs, target, trials, seed)
             except NoCandidateSurvives:
                 continue
             for u in cs.tuples:
@@ -533,76 +491,6 @@ def _lift_range(residue, p, bound):
             out.append(x)
         x += p
     return out
-
-
-# --- genus 4 through the octic root tower ---
-
-def chi_genus4(a, b, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """chi of y^2 = x^9 + a x^5 + b x by quadratic descents from F_{q^k}.
-
-    k is the degree of b^(1/8).  One genus-2 quotient is counted over
-    F_q[sqrt(b)] in normalized form, pushed up to F_{q^k}, twist-
-    corrected, and combined with its partner; the halving loop then
-    descends k -> k/2 -> ... -> 1.
-    """
-    F = _coefficient_field(a, b)
-    C = curve_from_ab(F, 4, a.rep, b.rep)
-    transcript = []
-
-    k = nth_root_field_degree(F, b.rep, 8)
-    KF = make_extension(F, k, seed=seed)
-    beta = nth_root(F, b.rep, 8, KF)
-    sb_big = KF.pow(beta, 4)
-    if F.legendre(b.rep) == 1:
-        q1f = F
-    else:
-        q1f = make_extension(F, 2, seed=seed)
-    sb = sb_big if q1f is KF else project(sb_big, KF, q1f)
-    if sb is None:
-        raise InternalError("sqrt(b) escaped its quadratic field")
-    at = q1f.div(embed(a.rep, F, q1f), sb)
-    quart = [q1f.add(q1f.from_int(2), at), q1f.zero, q1f.from_int(-4),
-             q1f.zero, q1f.one]
-    X1t = curve_from_f(q1f, polys.mul(q1f, [q1f.from_int(2), q1f.one], quart))
-    Lt = zeta_oracle(X1t, seed=seed)
-    transcript.append(
-        f"normalized quotient counted over F_q^{q1f.k // F.k}")
-    Lk = extend_lpoly(Lt, (F.k * k) // q1f.k)
-    b1k, b2k = Lk.a
-    # x -> beta*x scales the quotient's right side by beta^5
-    if KF.legendre(KF.mul(sb_big, beta)) == -1:
-        b1k = -b1k
-        transcript.append("twist correction over F_q^k: odd coefficient flipped")
-
-    qk = F.q ** k
-    tuples = [genus2_twist_combine(b1k, b2k, qk, qk % 4 == 1)]
-    transcript.append(f"octic degree k = {k}; quotient pair combined over F_q^{k}")
-
-    i = k
-    while i != 1:
-        half = i // 2
-        target = C.base_extend(half, seed=seed)
-        qh = F.q ** half
-        S = []
-        for t in tuples:
-            try:
-                new = [genus4_descend(t[0], t[1], t[2], t[3], qh, target,
-                                      trials, seed)]
-            except AmbiguousResult as e:
-                new = e.candidates
-            except NoCandidateSurvives:
-                continue
-            for u in new:
-                tu = tuple(u)
-                if tu not in S:
-                    S.append(tu)
-        if not S:
-            raise NoCandidateSurvives(
-                f"descent to F_q^{half} eliminated every tuple")
-        transcript.append(f"descend to F_q^{half}: {len(tuples)} -> {len(S)}")
-        tuples, i = S, half
-    return _final_result(F.q, 4, tuples, transcript,
-                         curve=C, trials=trials, seed=seed)
 
 
 # --- Legendre-polynomial congruence checkers ---

@@ -3,23 +3,25 @@
 Going up is exact: if the inverse roots over F_q are beta_1..beta_2g,
 the inverse roots over F_{q^k} are their k-th powers, so the extended
 coefficients fall out of Newton's identities with no counting at all.
-Going down loses the individual roots, so every descent here produces a
-finite candidate list and then prunes it by coefficient bounds, the
-Hasse-Weil interval on L(1), an exact re-extension screen, and random
-order checks in the Jacobian.  Genus 4 has a dedicated closed-form
-route (an even degree-16 elimination polynomial in a_1); the generic
-route goes through the real Weil polynomial, whose roots over the big
-field are Dickson-polynomial images of the roots below.
+Going down loses the individual roots, so each descender here returns
+a finite candidate list: the tuples that re-extend to its input
+exactly.  Pruning that list is the counting driver's job, with the
+screens kept here: coefficient bounds and the Hasse-Weil interval on
+L(1), then random order checks in the Jacobian.  Genus 4 has a
+dedicated closed-form route (an even degree-16 elimination polynomial
+in a_1); the generic route goes through the real Weil polynomial, whose
+roots over the big field are Dickson-polynomial images of the roots
+below.
 """
 
 import random
 from math import comb, isqrt
 
 from . import polys
-from .config import DEFAULT_SEED, DEFAULT_TRIALS
+from .config import DEFAULT_SEED
 from .curves import LPoly, jacobian_order_check, lpoly_from_counts
-from .errors import (AmbiguousResult, BudgetExceeded, EmptyAfterFilter,
-                     NoCandidateSurvives, NoSolution, NotPrimeField)
+from .errors import (AmbiguousResult, BudgetExceeded, NoCandidateSurvives,
+                     NoSolution, NotPrimeField)
 from .fields import introot, make_prime_field, next_prime
 
 # DFS node budget for the divisor knapsack, and how many primes l to
@@ -46,20 +48,24 @@ def extend_lpoly(L, k):
 
 
 class CandidateSet:
-    """Finite list of (a_1..a_g) tuples still in the running, with a
-    one-line provenance note per tuple."""
+    """Tuples (a_1..a_g) over F_q still in the running; never empty.
 
-    __slots__ = ("q", "g", "tuples", "notes")
+    The screens pass these along, and a counting algorithm returns one:
+    split Jacobians can tie every filter, so a result may hold more than
+    one tuple.  status says which case occurred, and the transcript
+    records what was counted and how each pruning stage went.
+    """
 
-    def __init__(self, q, g, tuples, notes=None):
+    __slots__ = ("q", "g", "tuples", "transcript")
+
+    def __init__(self, q, g, tuples, transcript=None):
         self.q = q
         self.g = g
         self.tuples = [tuple(int(v) for v in t) for t in tuples]
-        if notes is None:
-            notes = ["" for _ in self.tuples]
-        self.notes = list(notes)
-        if len(self.notes) != len(self.tuples):
-            raise ValueError("need one note per tuple")
+        if not self.tuples:
+            raise NoCandidateSurvives(
+                "a candidate set needs at least one tuple")
+        self.transcript = list(transcript or [])
 
     def __len__(self):
         return len(self.tuples)
@@ -71,17 +77,30 @@ class CandidateSet:
     def status(self):
         return "unique" if len(self.tuples) == 1 else "ambiguous"
 
+    @property
+    def coefficients(self):
+        if len(self.tuples) != 1:
+            raise AmbiguousResult(self.tuples)
+        return self.tuples[0]
+
+    def lpoly(self):
+        return LPoly(self.q, self.g, self.coefficients)
+
+    def order(self):
+        return self.lpoly().order()
+
     def to_json(self):
         return {
             "q": str(self.q),
             "g": self.g,
-            "candidates": [[str(v) for v in t] for t in self.tuples],
-            "notes": list(self.notes),
             "status": self.status,
+            "candidates": [[str(v) for v in t] for t in self.tuples],
+            "transcript": list(self.transcript),
         }
 
     def __repr__(self):
-        return f"CandidateSet(q={self.q}, g={self.g}, n={len(self.tuples)})"
+        return (f"CandidateSet(q={self.q}, g={self.g}, {self.status}, "
+                f"{len(self.tuples)} tuple(s))")
 
 
 def _coeff_bounds_ok(t, q, g):
@@ -105,18 +124,17 @@ def _order_in_interval(N, q, g):
 
 def weil_filter(cands):
     """Drop tuples violating coefficient bounds or the L(1) interval."""
-    kept, notes = [], []
-    for t, note in zip(cands.tuples, cands.notes):
+    kept = []
+    for t in cands.tuples:
         if not _coeff_bounds_ok(t, cands.q, cands.g):
             continue
         N = LPoly(cands.q, cands.g, t).order()
         if N <= 0 or not _order_in_interval(N, cands.q, cands.g):
             continue
         kept.append(t)
-        notes.append(note)
     if not kept:
-        raise EmptyAfterFilter("no tuple satisfies the Weil constraints")
-    return CandidateSet(cands.q, cands.g, kept, notes)
+        raise NoCandidateSurvives("no tuple satisfies the Weil constraints")
+    return CandidateSet(cands.q, cands.g, kept)
 
 
 def _order_check_prune(cands, curve, trials, seed):
@@ -129,44 +147,24 @@ def _order_check_prune(cands, curve, trials, seed):
     cheap), where the exponents differ; the true tuple is safe because
     its extended order is the actual group order there.
     """
-    kept, notes = [], []
-    for t, note in zip(cands.tuples, cands.notes):
+    kept = []
+    for t in cands.tuples:
         N = LPoly(cands.q, cands.g, t).order()
         if jacobian_order_check(curve, N, trials, seed):
             kept.append(t)
-            notes.append(note + "; order check ok")
     m = 2
     while len(kept) > 1 and m <= 3 and curve.F.k * m <= 12:
         ext = curve.base_extend(m, seed=seed)
-        still, snotes = [], []
-        for t, note in zip(kept, notes):
+        still = []
+        for t in kept:
             Nm = extend_lpoly(LPoly(cands.q, cands.g, t), m).order()
             if Nm > 0 and jacobian_order_check(ext, Nm, trials, seed):
                 still.append(t)
-                snotes.append(note + f"; order check over F_q^{m} ok")
-        kept, notes = still, snotes
+        kept = still
         m += 1
-    return CandidateSet(cands.q, cands.g, kept, notes)
-
-
-def genus2_twist_combine(b1k, b2k, qk, minus_one_square):
-    """Coefficients a_1..a_4 of L_{X1} * L_{X2} over F_{q^k}.
-
-    The two quotient curves are isomorphic when -1 is a square in
-    F_{q^k}, so the product is a plain square; otherwise X2 is the
-    quadratic twist of X1 and the odd coefficients cancel.
-    """
-    if minus_one_square:
-        a1 = 2 * b1k
-        a2 = b1k * b1k + 2 * b2k
-        a3 = 2 * b1k * qk + 2 * b1k * b2k
-        a4 = 2 * qk * qk + 2 * b1k * b1k * qk + b2k * b2k
-    else:
-        a1 = 0
-        a2 = 2 * b2k - b1k * b1k
-        a3 = 0
-        a4 = 2 * qk * qk - 2 * b1k * b1k * qk + b2k * b2k
-    return (a1, a2, a3, a4)
+    if not kept:
+        raise NoCandidateSurvives("order checks eliminated every tuple")
+    return CandidateSet(cands.q, cands.g, kept)
 
 
 def genus3_descend_mod_p(b12, b22):
@@ -257,29 +255,30 @@ def a1_elimination_coeffs(a12, a22, a32, a42, q):
     return [c0, c2, c4, c6, c8, c10, c12, c14]
 
 
-def genus4_descend(a12, a22, a32, a42, q, curve,
-                   trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """Recover (a_1..a_4) over F_q from the coefficients over F_{q^2}.
+def genus4_descend(Lnk, kj, seed=DEFAULT_SEED):
+    """Tuples (a_1..a_4) over F_q whose L extends to Lnk over F_{q^2}.
 
     a_1 candidates are roots of the even degree-16 elimination
     polynomial over F_l, l the smallest prime with l^2 > 256 q; the
     symmetric lift is then unique on |a_1| <= 8 sqrt(q).  The a_1 = 0
     case sits outside that derivation (it divided by a_1), so it gets
-    its own branch whenever a_{1,2} is even.  Every candidate must
-    re-extend to the input exactly before facing the order checks.
+    its own branch whenever a_{1,2} is even.  Only tuples that re-extend
+    to Lnk exactly come back, possibly none.
     """
-    if curve.F.q != q:
-        raise ValueError("curve must live over the target field")
-    target = (int(a12), int(a22), int(a32), int(a42))
-    tuples, notes = [], []
+    if Lnk.g != 4 or kj != 2:
+        raise ValueError("the eliminant descends genus 4 by degree 2")
+    q = isqrt(Lnk.q)
+    if q * q != Lnk.q:
+        raise ValueError("field size is not a perfect square")
+    a12, a22, a32, a42 = Lnk.a
+    tuples = []
 
-    def push(t, note):
+    def push(t):
         if t in tuples:
             return
-        if extend_lpoly(LPoly(q, 4, t), 2).a != target:
+        if extend_lpoly(LPoly(q, 4, t), 2).a != Lnk.a:
             return
         tuples.append(t)
-        notes.append(note)
 
     l = next_prime(isqrt(256 * q))
     while l * l <= 256 * q:
@@ -317,7 +316,7 @@ def genus4_descend(a12, a22, a32, a42, q, curve,
             if num % (2 * a1):
                 continue
             a3 = num // (2 * a1)
-            push((a1, a2, a3, a4), "a1=%d root mod %d" % (a1, l))
+            push((a1, a2, a3, a4))
 
     if a12 % 2 == 0:
         # a1 = 0 forces a2; the a4 quadratic degenerates to a double root
@@ -329,21 +328,8 @@ def genus4_descend(a12, a22, a32, a42, q, curve,
                 rt = isqrt(t3sq)
                 if rt * rt == t3sq:
                     for a3 in {rt, -rt}:
-                        push((0, a2, a3, a4), "a1=0 branch")
-
-    if not tuples:
-        raise NoCandidateSurvives("no tuple re-extends to the input")
-    try:
-        cs = weil_filter(CandidateSet(q, 4, tuples, notes))
-    except EmptyAfterFilter:
-        raise NoCandidateSurvives(
-            "all consistent tuples violate the Weil constraints") from None
-    cs = _order_check_prune(cs, curve, trials, seed)
-    if len(cs) == 0:
-        raise NoCandidateSurvives("order checks eliminated every tuple")
-    if len(cs) > 1:
-        raise AmbiguousResult(cs.tuples)
-    return cs.tuples[0]
+                        push((0, a2, a3, a4))
+    return tuples
 
 
 def _dickson_int(n, alpha):
@@ -485,24 +471,22 @@ def _degree_g_products(F, factors, g, cap):
     return None if budget[0] <= 0 else out
 
 
-def generic_descend(Lnk, kj, curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """Candidates for L over F_Q given L over F_{Q^kj}, kj prime.
+def generic_descend(Lnk, kj, seed=DEFAULT_SEED):
+    """Tuples for L over F_Q given L over F_{Q^kj}, kj prime.
 
     Works through the real Weil polynomial: if h has the target roots
     u_i = beta_i + Q/beta_i, then the known h_n has roots D_kj(u_i, Q),
     so every u_i is a root of H(U) = h_n(D_kj(U, Q)).  The candidate
     h's are the monic degree-g divisors of H mod l, lifted symmetrically
     (l is big enough to make those lifts unique inside the Weil box).
-    An exact re-extension screen plus order checks do the pruning.
+    Only tuples that re-extend to Lnk exactly come back, possibly none.
     """
     g = Lnk.g
     if kj == 1:
-        return CandidateSet(Lnk.q, g, [Lnk.a], ["identity descent"])
+        return [Lnk.a]
     Q = introot(Lnk.q, kj)
     if Q ** kj != Lnk.q:
         raise ValueError("field size is not a perfect kj-th power")
-    if curve is not None and curve.F.q != Q:
-        raise ValueError("curve must live over the target field")
 
     H = _compose_int(_real_weil_poly(Lnk), _dickson_int(kj, Q))
 
@@ -513,7 +497,7 @@ def generic_descend(Lnk, kj, curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         lmin = max(lmin, isqrt(4 * comb(g, j) ** 2 * 4 ** j * Q ** j) + 1)
     l = next_prime(lmin - 1)
 
-    survivors, notes = [], []
+    survivors = []
     for attempt in range(_PRIME_RETRIES):
         Fl = make_prime_field(l)
         Hl = [Fl.coerce(c) for c in H]
@@ -537,21 +521,8 @@ def generic_descend(Lnk, kj, curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
                 continue
             if cand.a not in survivors:
                 survivors.append(cand.a)
-                notes.append("degree-%d divisor mod %d" % (g, l))
         break
     else:
         raise BudgetExceeded("divisor enumeration blew the DFS budget "
                              "for %d primes" % _PRIME_RETRIES)
-
-    if not survivors:
-        raise NoCandidateSurvives("no divisor re-extends to the input")
-    try:
-        cs = weil_filter(CandidateSet(Q, g, survivors, notes))
-    except EmptyAfterFilter:
-        raise NoCandidateSurvives(
-            "all consistent tuples violate the Weil constraints") from None
-    if curve is not None:
-        cs = _order_check_prune(cs, curve, trials, seed)
-        if len(cs) == 0:
-            raise NoCandidateSurvives("order checks eliminated every tuple")
-    return cs
+    return survivors

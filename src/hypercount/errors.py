@@ -105,10 +105,6 @@ class AmbiguousResult(HypercountError):
         self.candidates = list(candidates)
 
 
-class EmptyAfterFilter(HypercountError):
-    pass
-
-
 class NonResidueDiscriminant(HypercountError):
     pass
 

@@ -624,25 +624,3 @@ def legendre_symbol(F, a):
         a = a.rep
     return F.legendre(a % F.p)
 
-
-def field_arith(x, y, op):
-    """Name-dispatched arithmetic on FieldElement values (JSON/CLI glue)."""
-    F = x.desc
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "pow":
-        # the exponent is a plain integer, possibly dressed up
-        if isinstance(y, FieldElement):
-            if y.desc.k != 1:
-                raise ValueError("exponent must be an integer")
-            y = int(y.rep)
-        return FieldElement(F, F.pow(x.rep, y))
-    if op == "frobenius":
-        return x.frob(1 if y is None else y)
-    raise ValueError(f"unknown op {op!r}")

@@ -151,30 +151,6 @@ def is_squarefree(F, f):
     return degree(gcd_poly(F, f, derivative(F, f))) == 0
 
 
-def resultant(F, f, g):
-    """Resultant by the Euclidean scheme; res(x - a, g) = g(a)."""
-    f, g = trim(F, f), trim(F, g)
-    if not f or not g:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    res = F.one
-    while True:
-        m, n = degree(f), degree(g)
-        if n == 0:
-            return F.mul(res, F.pow(g[0], m))
-        if m < n:
-            f, g = g, f
-            if (m & 1) and (n & 1):
-                res = F.neg(res)
-            continue
-        r = rem(F, f, g)
-        if not r:
-            return F.zero
-        if (m & 1) and (n & 1):
-            res = F.neg(res)
-        res = F.mul(res, F.pow(g[-1], m - degree(r)))
-        f, g = g, r
-
-
 def mulmod(F, f, g, h):
     return rem(F, mul(F, f, g), h)
 

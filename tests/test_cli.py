@@ -23,9 +23,9 @@ from hypercount.errors import InternalError
 def _run(argv, env=None):
     """Run the CLI once, returning (exit code, parsed payload, raw stdout).
 
-    The budget knob travels through os.environ, and --budget writes to
-    it, so each invocation saves and restores the variable no matter
-    how main() exits.  payload is None when stdout is not JSON.
+    The budget knob travels through os.environ, so env, when given, is
+    set for this invocation only.  payload is None when stdout is not
+    JSON.
     """
     saved = os.environ.get(BUDGET_ENV)
     if env is not None:
@@ -304,6 +304,18 @@ def test_budget_flag_overrides_env_var():
                         env=5)
     assert code == 0
     assert out["jacobian_order"] is not None
+
+
+def test_budget_flag_does_not_outlive_its_call(monkeypatch, capsys):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    before = dict(os.environ)
+    argv = ["zeta-oracle", "--p", "7", "--genus", "2", "--a", "1", "--b", "3"]
+    assert cli.main(argv + ["--budget", "5"]) == 2
+    assert cli.main(argv) == 0
+    assert dict(os.environ) == before
+    monkeypatch.setenv(BUDGET_ENV, "123456")
+    assert cli.main(argv + ["--budget", "5"]) == 2
+    assert os.environ[BUDGET_ENV] == "123456"
 
 
 # --- file and format plumbing ---

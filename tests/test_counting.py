@@ -5,10 +5,10 @@ import random
 import pytest
 
 from hypercount import curves
-from hypercount.counting import (INCONCLUSIVE, SKIPPED, ChiResult,
-                                 TraceProvider, _descended_t6, _lift_range,
-                                 chi_generic, chi_genus3, chi_genus4,
-                                 frobenius_trace, is_probably_irreducible,
+from hypercount.counting import (INCONCLUSIVE, SKIPPED, TraceProvider,
+                                 _descended_t6, _lift_range, chi_generic,
+                                 chi_genus3, frobenius_trace,
+                                 is_probably_irreducible,
                                  legendre_octic_congruence,
                                  legendre_trace_congruence)
 from hypercount.curves import (count_points, curve_from_ab, curve_from_f,
@@ -63,16 +63,17 @@ def test_frobenius_trace_rejects():
 
 
 def test_chi_result_plumbing():
-    r = ChiResult(13, 3, [(0, 36, -2)], ["counted"])
+    r = CandidateSet(13, 3, [(0, 36, -2)], ["counted"])
     assert r.status == "unique" and r.coefficients == (0, 36, -2)
     assert r.order() == r.lpoly().order()
     assert r.to_json()["candidates"] == [["0", "36", "-2"]]
-    multi = ChiResult(13, 3, [(0, 36, -2), (1, 2, 3)])
+    assert r.to_json()["transcript"] == ["counted"]
+    multi = CandidateSet(13, 3, [(0, 36, -2), (1, 2, 3)])
     assert multi.status == "ambiguous" and len(multi) == 2
     with pytest.raises(AmbiguousResult):
         multi.coefficients
     with pytest.raises(NoCandidateSurvives):
-        ChiResult(13, 3, [])
+        CandidateSet(13, 3, [])
 
 
 def test_lift_range():
@@ -189,18 +190,18 @@ def test_chi_genus3_rejects():
 
 
 def test_chi_genus4_matches_oracle():
+    # genus 4 descends through the degree-16 eliminant
     F = make_prime_field(7)
     want = zeta_oracle(curve_from_ab(F, 4, 1, 3))
-    res = chi_genus4(F.el(1), F.el(3))
+    res = chi_generic(curve_from_ab(F, 4, 1, 3))
     if res.status == "unique":
         assert res.coefficients == want.a == (0, 24, 0, 240)
     else:
         assert want.a in res.tuples
     F = make_prime_field(13)
-    rng = random.Random(27)
-    a, b = 3, 10  # 10 is a nonsquare mod 13
+    a, b = 3, 10  # 10 = 6^2 mod 13, and b^(1/8) needs F_{13^4}
     want = zeta_oracle(curve_from_ab(F, 4, a, b))
-    res = chi_genus4(F.el(a), F.el(b))
+    res = chi_generic(curve_from_ab(F, 4, a, b))
     if res.status == "unique":
         assert res.coefficients == want.a
     else:

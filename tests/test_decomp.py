@@ -1,5 +1,7 @@
 """Quotient curves, splitting fields, and the product decomposition."""
 
+import random
+
 import pytest
 
 from hypercount import polys
@@ -10,7 +12,7 @@ from hypercount.decomp import (decomposition_check, elliptic_quotient,
                                twist_curves)
 from hypercount.errors import (BadGenus, CharacteristicDividesGenus,
                                EvenGenus, SingularCurve)
-from hypercount.fields import legendre_symbol, make_prime_field
+from hypercount.fields import legendre_symbol, make_extension, make_prime_field
 
 
 def test_quotient_genera_add_up():
@@ -70,6 +72,32 @@ def test_twist_curves_both_square_classes():
     ns = next(v for v in range(2, 13) if legendre_symbol(F, v) == -1)
     pair = twist_curves(F, 2, 1, ns)
     assert pair.extended and pair.defined_over.q == 169
+
+
+def test_even_genus_quotients_are_minus_one_twists():
+    # x -> -x carries X1: y^2 = (x + 2)(D_g(x) + c) to
+    # y^2 = -(x - 2)(D_g(x) + c) since D_g is even, so X2 is X1 twisted
+    # by -1: L_X2(T) = L_X1(T) when -1 is a square in the field,
+    # L_X1(-T) otherwise
+    rng = random.Random(31)
+    for p in (5, 7):  # -1 is a square mod 5, not mod 7
+        F = make_prime_field(p)
+        for K in (F, make_extension(F, 2)):
+            for g in (2, 4, 6):
+                checked = 0
+                while checked < 3:
+                    try:
+                        pair = quotients_normalized(K, g, K.rand(rng))
+                    except SingularCurve:
+                        continue
+                    L1 = zeta_oracle(pair.X1)
+                    if K.q % 4 == 1:
+                        want = L1.a
+                    else:
+                        want = tuple(-v if i % 2 == 0 else v
+                                     for i, v in enumerate(L1.a))
+                    assert zeta_oracle(pair.X2).a == want, (K.q, g)
+                    checked += 1
 
 
 def test_elliptic_quotient_divides_chi():

@@ -5,17 +5,24 @@ import random
 import pytest
 
 from hypercount import polys
+from hypercount.config import DEFAULT_SEED, DEFAULT_TRIALS
 from hypercount.curves import LPoly, curve_from_ab, zeta_oracle
 from hypercount.descent import (CandidateSet, _chi_from_real, _compose_int,
                                 _degree_g_products, _dickson_int, _factor_mod,
                                 _order_check_prune, _real_weil_poly,
                                 a1_elimination_coeffs, extend_lpoly,
-                                generic_descend, genus2_twist_combine,
-                                genus3_descend_mod_p, genus4_descend,
-                                weil_filter)
-from hypercount.errors import (AmbiguousResult, EmptyAfterFilter,
-                               NoCandidateSurvives, NoSolution, NotPrimeField)
+                                generic_descend, genus3_descend_mod_p,
+                                genus4_descend, weil_filter)
+from hypercount.errors import (AmbiguousResult, NoCandidateSurvives,
+                               NoSolution, NotPrimeField)
 from hypercount.fields import make_extension, make_prime_field
+
+
+def _screen(found, q, g, C):
+    """The counting driver's screen after a descent step: the Weil
+    filter, then the order checks on the curve over F_q."""
+    cs = weil_filter(CandidateSet(q, g, found))
+    return _order_check_prune(cs, C, DEFAULT_TRIALS, DEFAULT_SEED)
 
 
 def test_extend_lpoly_elliptic_closed_form():
@@ -51,7 +58,7 @@ def test_weil_filter_drops_violators():
     assert true in kept.tuples
     assert (100, 0) not in kept.tuples       # a1 past the Weil box
     assert (-10, -45) not in kept.tuples     # L(1) <= 0
-    with pytest.raises(EmptyAfterFilter):
+    with pytest.raises(NoCandidateSurvives):
         weil_filter(CandidateSet(7, 2, [(100, 0)]))
 
 
@@ -64,31 +71,18 @@ def test_order_check_prune_kills_off_by_one():
     fake = (true[0], true[1] + 1)
     cs = _order_check_prune(CandidateSet(7, 2, [true, fake]), C, 6, 42)
     assert cs.tuples == [true]
+    with pytest.raises(NoCandidateSurvives):
+        _order_check_prune(CandidateSet(7, 2, [fake]), C, 6, 42)
 
 
 def test_candidate_set_plumbing():
-    cs = CandidateSet(49, 2, [(1, 2), (3, 4)], ["x", "y"])
+    cs = CandidateSet(49, 2, [(1, 2), (3, 4)])
     assert len(cs) == 2 and cs.status == "ambiguous"
     j = cs.to_json()
     assert j["candidates"] == [["1", "2"], ["3", "4"]]
     assert CandidateSet(49, 2, [(1, 2)]).status == "unique"
-    with pytest.raises(ValueError):
-        CandidateSet(49, 2, [(1, 2)], ["a", "b"])
-
-
-def _lpoly_product_tail(b1, b2, q, twisted):
-    """Coefficients 1..4 of L(T) * L(+-T) multiplied out directly."""
-    L = [1, b1, b2, q * b1, q * q]
-    M = [c if i % 2 == 0 else (-c if twisted else c) for i, c in enumerate(L)]
-    return tuple(polys._int_poly_mul(L, M)[1:5])
-
-
-def test_genus2_twist_combine_is_lpoly_product():
-    for (b1, b2, q) in ((3, -2, 9), (-5, 7, 25), (0, 4, 49), (2, 2, 121)):
-        assert genus2_twist_combine(b1, b2, q, True) == \
-            _lpoly_product_tail(b1, b2, q, False)
-        assert genus2_twist_combine(b1, b2, q, False) == \
-            _lpoly_product_tail(b1, b2, q, True)
+    with pytest.raises(NoCandidateSurvives):
+        CandidateSet(49, 2, [])
 
 
 def test_genus3_descend_mod_p_recovers_pairs():
@@ -137,11 +131,14 @@ def test_genus4_descend_roundtrip():
                 continue
             C = curve_from_ab(F, 4, a, b)
             L = zeta_oracle(C)
-            L2 = extend_lpoly(L, 2)
-            try:
-                assert genus4_descend(*L2.a, p, C) == L.a
-            except AmbiguousResult as e:
-                assert L.a in e.candidates
+            found = genus4_descend(extend_lpoly(L, 2), 2)
+            assert L.a in found
+            for t in found:
+                assert extend_lpoly(LPoly(p, 4, t), 2) == extend_lpoly(L, 2)
+            cs = _screen(found, p, 4, C)
+            assert L.a in cs.tuples
+            if cs.status == "unique":
+                assert cs.tuples == [L.a]
             done += 1
 
 
@@ -150,11 +147,11 @@ def test_genus4_descend_known_ambiguous_case():
     C = curve_from_ab(F, 4, 1, 1)
     L = zeta_oracle(C)
     assert L.a == (0, 12, 0, 278)
-    L2 = extend_lpoly(L, 2)
-    with pytest.raises(AmbiguousResult) as exc:
-        genus4_descend(*L2.a, 11, C)
-    cands = exc.value.candidates
-    assert (0, 12, 0, 278) in cands and len(cands) == 3
+    cs = _screen(genus4_descend(extend_lpoly(L, 2), 2), 11, 4, C)
+    assert cs.status == "ambiguous"
+    assert (0, 12, 0, 278) in cs.tuples and len(cs) == 3
+    with pytest.raises(AmbiguousResult):
+        cs.coefficients
 
 
 def test_genus4_descend_rejects_garbage():
@@ -162,10 +159,12 @@ def test_genus4_descend_rejects_garbage():
     C = curve_from_ab(F, 4, 1, 3)
     L2 = extend_lpoly(zeta_oracle(C), 2)
     assert L2.a == (48, 1056, 13872, 118850)
-    with pytest.raises(NoCandidateSurvives):
-        genus4_descend(L2.a[0], L2.a[1] + 2, L2.a[2], L2.a[3], 7, C)
+    garbage = LPoly(49, 4, (L2.a[0], L2.a[1] + 2, L2.a[2], L2.a[3]))
+    assert genus4_descend(garbage, 2) == []
     with pytest.raises(ValueError):
-        genus4_descend(*L2.a, 49, C)  # curve lives over F_7, not F_49
+        genus4_descend(LPoly(7, 4, L2.a), 2)  # 7 is not a square
+    with pytest.raises(ValueError):
+        genus4_descend(L2, 3)  # the eliminant only halves the degree
 
 
 def test_real_weil_poly_roundtrip():
@@ -220,7 +219,8 @@ def test_generic_descend_roundtrip():
                 break
         C = curve_from_ab(F, g, a, b)
         L = zeta_oracle(C)
-        cs = generic_descend(extend_lpoly(L, k), k, C)
+        found = generic_descend(extend_lpoly(L, k), k)
+        cs = _screen(found, p, g, C)
         assert L.a in cs.tuples
         if cs.status == "unique":
             assert cs.tuples == [L.a]
@@ -230,13 +230,14 @@ def test_generic_descend_without_curve():
     F = make_prime_field(11)
     C = curve_from_ab(F, 2, 3, 4)
     L = zeta_oracle(C)
-    cs = generic_descend(extend_lpoly(L, 2), 2, None)
-    assert L.a in cs.tuples  # no order checks, so possibly several
+    found = generic_descend(extend_lpoly(L, 2), 2)
+    assert L.a in found  # no order checks, so possibly several
+    for t in found:
+        assert extend_lpoly(LPoly(11, 2, t), 2) == extend_lpoly(L, 2)
 
 
 def test_generic_descend_identity_and_errors():
     L = LPoly(9, 2, (1, 2))
-    cs = generic_descend(L, 1, None)
-    assert cs.tuples == [(1, 2)] and cs.status == "unique"
+    assert generic_descend(L, 1) == [(1, 2)]
     with pytest.raises(ValueError):
-        generic_descend(LPoly(7, 2, (1, 2)), 2, None)  # 7 not a square
+        generic_descend(LPoly(7, 2, (1, 2)), 2)  # 7 not a square

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from hypercount.errors import (DivisionByZero, EvenCharacteristic,
-                               NoRootInField, NotPrime, NotPrimeField,
-                               ZeroRadicand)
+from hypercount.errors import (EvenCharacteristic, NoRootInField, NotPrime,
+                               NotPrimeField, ZeroRadicand)
 from hypercount.fields import (MR_DETERMINISTIC_BOUND, FieldElement, embed,
-                               field_arith, introot, is_prime,
-                               legendre_symbol, make_extension,
-                               make_prime_field, next_prime, nth_root,
-                               nth_root_field_degree, prime_factors, project)
+                               introot, is_prime, legendre_symbol,
+                               make_extension, make_prime_field, next_prime,
+                               nth_root, nth_root_field_degree, prime_factors,
+                               project)
 
 
 def test_make_prime_field_basic():
@@ -50,18 +49,6 @@ def test_tower_commutes():
     for v in (1, 3, 5, 6):
         via = embed(embed(F.from_int(v), F, K2), K2, K6)
         assert via == embed(F.from_int(v), F, K6)
-
-
-def test_field_arith_ops():
-    F = make_prime_field(7)
-    three, five = F.el(3), F.el(5)
-    assert field_arith(three, five, "add").rep == F.from_int(1)
-    assert field_arith(three, five, "mul").rep == F.from_int(1)
-    assert field_arith(three, three, "sub").rep == F.zero
-    g = F.el(3)
-    assert field_arith(g, F.el(6), "pow").rep == F.one  # 3^6 = 729 = 1 mod 7
-    with pytest.raises(DivisionByZero):
-        field_arith(three, F.el(0), "div")
 
 
 def test_frobenius_order():

@@ -1,12 +1,11 @@
-"""Polynomial arithmetic, resultants, roots, Dickson and Legendre families."""
+"""Polynomial arithmetic, roots, Dickson and Legendre families."""
 
 import random
 
 import pytest
 
 from hypercount import polys
-from hypercount.errors import (DivisionByZero, IndexTooLargeForCharacteristic,
-                               ZeroPolynomial)
+from hypercount.errors import DivisionByZero, IndexTooLargeForCharacteristic
 from hypercount.fields import make_extension, make_prime_field
 
 
@@ -44,75 +43,6 @@ def test_xgcd_identity():
         d, u, v = polys.xgcd_poly(F, f, g)
         lhs = polys.add(F, polys.mul(F, u, f), polys.mul(F, v, g))
         assert lhs == d
-
-
-def test_resultant_degree_one_is_evaluation():
-    F = make_prime_field(101)
-    g = _p(F, 3, 0, 1, 2)
-    for a in (0, 5, 17):
-        res = polys.resultant(F, _p(F, -a, 1), g)
-        assert res == polys.evaluate(F, g, F.from_int(a))
-
-
-def test_resultant_vanishes_iff_common_root():
-    F = make_prime_field(13)
-    f = polys.mul(F, _p(F, -2, 1), _p(F, 1, 1))
-    g = polys.mul(F, _p(F, -2, 1), _p(F, 4, 1))
-    assert polys.resultant(F, f, g) == F.zero
-    assert polys.resultant(F, _p(F, 1, 1), _p(F, 4, 1)) != F.zero
-    with pytest.raises(ZeroPolynomial):
-        polys.resultant(F, [], f)
-
-
-def _sylvester_det(F, f, g):
-    """Determinant of the Sylvester matrix by Gaussian elimination."""
-    n, m = polys.degree(f), polys.degree(g)
-    size = n + m
-    M = [[F.zero] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(reversed(f)):
-            M[i][i + j] = c
-    for i in range(n):
-        for j, c in enumerate(reversed(g)):
-            M[m + i][i + j] = c
-    det = F.one
-    for col in range(size):
-        piv = next((r for r in range(col, size) if M[r][col] != F.zero), None)
-        if piv is None:
-            return F.zero
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = F.neg(det)
-        det = F.mul(det, M[col][col])
-        inv = F.inv(M[col][col])
-        for r in range(col + 1, size):
-            factor = F.mul(M[r][col], inv)
-            if factor == F.zero:
-                continue
-            for c in range(col, size):
-                M[r][c] = F.sub(M[r][c], F.mul(factor, M[col][c]))
-    return det
-
-
-def test_resultant_matches_sylvester_oracle():
-    F = make_prime_field(101)
-    rng = random.Random(2)
-    for _ in range(10):
-        f = [F.rand(rng) for _ in range(3)] + [F.one]
-        g = [F.rand(rng) for _ in range(3)] + [F.one]
-        assert polys.resultant(F, f, g) == _sylvester_det(F, f, g)
-
-
-def test_resultant_swap_sign():
-    F = make_prime_field(101)
-    rng = random.Random(3)
-    for _ in range(8):
-        f = [F.rand(rng) for _ in range(rng.randrange(1, 4))] + [F.one]
-        g = [F.rand(rng) for _ in range(rng.randrange(1, 4))] + [F.one]
-        sign = (-1) ** (polys.degree(f) * polys.degree(g))
-        lhs = polys.resultant(F, f, g)
-        rhs = polys.resultant(F, g, f)
-        assert lhs == (rhs if sign == 1 else F.neg(rhs))
 
 
 def test_roots_in_prime_field():
