@@ -25,8 +25,7 @@ from .decomp import (QuotientPair, decomposition_check, elliptic_quotient,
                      quotients_family, quotients_normalized, split_quotients,
                      splitting_field_degree, twist_curves)
 from .descent import (CandidateSet, a1_elimination_coeffs, extend_lpoly,
-                      generic_descend, genus3_descend_mod_p, genus4_descend,
-                      weil_filter)
+                      generic_descend, genus4_descend, weil_filter)
 from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                      CharacteristicDividesGenus, HypercountError,
                      MismatchDetected, NoCandidateSurvives, NotPrime,

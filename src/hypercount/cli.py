@@ -13,6 +13,7 @@ sorted by (g, p, a, b).
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -449,26 +450,26 @@ def build_parser():
     s.add_argument("--trace-method", choices=("naive_count", "bsgs"),
                    default="naive_count")
     _add_common(s)
-    s.set_defaults(handler=cmd_count)
+    s.set_defaults(handler="cmd_count")
 
     s = subs.add_parser("zeta-oracle", help="brute-force L-polynomial")
     _add_curve_flags(s, with_f=True)
     _add_common(s)
-    s.set_defaults(handler=cmd_zeta_oracle)
+    s.set_defaults(handler="cmd_zeta_oracle")
 
     s = subs.add_parser("cm-matrix", help="Cartier-Manin matrix")
     _add_curve_flags(s)
     s.add_argument("--method", choices=("naive", "formula", "both"),
                    default="both")
     _add_common(s)
-    s.set_defaults(handler=cmd_cm_matrix)
+    s.set_defaults(handler="cmd_cm_matrix")
 
     s = subs.add_parser("chi-mod-p", help="chi mod p, matrix and table routes")
     _add_curve_flags(s)
     s.add_argument("--method", choices=("matrix", "table", "both"),
                    default="both")
     _add_common(s)
-    s.set_defaults(handler=cmd_chi_mod_p)
+    s.set_defaults(handler="cmd_chi_mod_p")
 
     s = subs.add_parser("verify-table",
                         help="factored table vs matrix charpoly sweep")
@@ -476,7 +477,7 @@ def build_parser():
     s.add_argument("--p-max", type=_int, default=60)
     s.add_argument("--trials-per-row", type=_int, default=5)
     _add_common(s)
-    s.set_defaults(handler=cmd_verify_table)
+    s.set_defaults(handler="cmd_verify_table")
 
     s = subs.add_parser("verify-congruences",
                         help="congruence and identity sweeps")
@@ -488,15 +489,23 @@ def build_parser():
     s.add_argument("--genus-max", type=_int, default=7)
     s.add_argument("--count", type=_int, default=20)
     _add_common(s)
-    s.set_defaults(handler=cmd_verify_congruences)
+    s.set_defaults(handler="cmd_verify_congruences")
 
     s = subs.add_parser("decompose",
                         help="quotient curves and splitting field")
     _add_curve_flags(s)
     _add_common(s)
-    s.set_defaults(handler=cmd_decompose)
+    s.set_defaults(handler="cmd_decompose")
 
     return ap
+
+
+@functools.cache
+def _parser():
+    """The parser, built at the first call and reused by later ones.
+    Handlers are stored by name and looked up per call, so a handler
+    replaced after the build still takes effect."""
+    return build_parser()
 
 
 def _internal_error(e):
@@ -507,9 +516,8 @@ def _internal_error(e):
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     # the budget reaches the library through os.environ for this call
@@ -517,7 +525,7 @@ def main(argv=None):
     prior = os.environ.get(BUDGET_ENV)
     try:
         _apply_budget(args)
-        code, payload = args.handler(args)
+        code, payload = globals()[args.handler](args)
     except BudgetExceeded as e:
         code, payload = EXIT_BUDGET, {"error": "BudgetExceeded",
                                       "detail": str(e)}

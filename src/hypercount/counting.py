@@ -19,10 +19,10 @@ from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
                      curve_from_f, jacobian_order_screen, zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
 from .descent import (CandidateSet, _factor_mod, _order_check_prune,
-                      extend_lpoly, generic_descend, genus3_descend_mod_p,
-                      genus4_descend, weil_filter)
+                      extend_lpoly, generic_descend, genus4_descend,
+                      weil_filter)
 from .errors import (BadGenus, BudgetExceeded, CharacteristicDividesGenus,
-                     InternalError, NoCandidateSurvives, NoSolution,
+                     InternalError, NoCandidateSurvives,
                      NonResidueDiscriminant, NotPrimeField,
                      SingularSpecialization, ZeroPolynomial)
 from .fields import (FieldElement, embed, introot, make_extension,
@@ -212,15 +212,23 @@ def _final_result(q, g, tuples, transcript, curve=None,
     """Wrap surviving tuples, re-checking the Weil box one last time.
 
     With the curve in hand, a lingering tie gets three tiebreakers in
-    turn, each cheap and each unable to drop the true tuple: chi mod p
-    through the Cartier-Manin route (pins the residue class, so it
-    kills lifts from a wrong sign branch), one point count on the curve
-    itself (pins the trace exactly; skipped over budget), and the order
-    checks over the base field and small extensions.
+    turn, cheapest conclusive first and none able to drop the true
+    tuple: one point count on the curve itself (pins the trace exactly;
+    skipped over budget), chi mod p through the Cartier-Manin route
+    (pins the residue class; skipped over budget), and the order checks
+    over the base field and small extensions.
     """
     cs = weil_filter(CandidateSet(q, g, tuples))
     if len(cs) < len(tuples):
         transcript.append(f"final Weil filter: {len(tuples)} -> {len(cs)}")
+    if curve is not None and len(cs) > 1:
+        try:
+            N1 = count_points(curve, 1, seed=seed)
+            keep = [t for t in cs.tuples
+                    if q + 1 - LPoly(q, g, list(t)).power_sums(1)[0] == N1]
+            cs = _refilter(cs, keep, transcript, "trace screen")
+        except BudgetExceeded:
+            pass
     if curve is not None and len(cs) > 1:
         try:
             want = chi_mod_p(curve).coeffs
@@ -229,14 +237,6 @@ def _final_result(q, g, tuples, transcript, curve=None,
                     if [c % p for c in LPoly(q, g, list(t)).chi_coeffs()]
                     == want]
             cs = _refilter(cs, keep, transcript, "chi mod p screen")
-        except BudgetExceeded:
-            pass
-    if curve is not None and len(cs) > 1:
-        try:
-            N1 = count_points(curve, 1, seed=seed)
-            keep = [t for t in cs.tuples
-                    if q + 1 - LPoly(q, g, list(t)).power_sums(1)[0] == N1]
-            cs = _refilter(cs, keep, transcript, "trace screen")
         except BudgetExceeded:
             pass
     if curve is not None and len(cs) > 1:
@@ -368,13 +368,13 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """chi (degree 6) of y^2 = x^7 + a x^4 + b x over a prime field.
 
     The Jacobian splits as E x A with E the elliptic quotient
-    y^2 = x^3 + a x^2 + b x.  Two elliptic traces pin chi_A mod p; the
-    integer coefficients come from the |b1| <= 4 sqrt(p), |b2| <= 6p
-    box filtered by random-divisor order checks.  Both square-root
-    branches of b are handled, and all arithmetic stays over F_p: the
-    nonsquare branch reads its F_{p^2} trace off a curve over F_p
-    (_descended_t6), recovers chi_A mod p by square roots for both sign
-    choices, and pools the lifts of both.
+    y^2 = x^3 + a x^2 + b x, and A is, up to twist, E6 x E6 or its
+    restriction of scalars, E6: y^2 = x^3 - 3x + 2c, c = -a/(2 sqrt(b)).
+    So chi_A has closed forms in the trace t6 of E6 (_chi_a_pool), and
+    all arithmetic stays over F_p: when sqrt(b) is not in F_p the
+    F_{p^2} trace is read off a curve over F_p (_descended_t6).  The
+    pool holds the truth, so one random-divisor order check settles it
+    unless a tie survives, which goes to _final_result's screens.
     """
     F = _coefficient_field(a, b)
     if F.k != 1:
@@ -388,53 +388,7 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     E = elliptic_quotient(F, 3, a.rep, b.rep)
     t2 = frobenius_trace(E, provider)
     transcript = [f"t2 = {t2} for the elliptic quotient"]
-
-    b1_box = introot(16 * p, 2)
-    sb = F.sqrt(b.rep)
-    pool = []
-    if sb is not None:
-        c = F.div(F.neg(a.rep), F.mul(F.from_int(2), sb))
-        E6 = curve_from_f(F, [F.mul(F.from_int(2), c), F.from_int(-3),
-                              F.zero, F.one])
-        t6 = frobenius_trace(E6, provider)
-        transcript.append(f"t6 = {t6} over F_p (sqrt(b) in F_p)")
-        if p % 3 == 1:
-            e = (p - 1) // 6
-            w = F.add(F.pow(sb, 5 * e), F.pow(sb, e))
-            bt1 = F.mul(F.from_int(-F.legendre(3 % p) * t6), w)
-            bt2 = t6 * t6
-        else:
-            bt1 = F.zero
-            bt2 = -t6 * t6
-        # chi_A = T^4 - b1 T^3 + b2 T^2 - b1 p T + p^2 and the mod-p
-        # polynomial carries +bt1, +bt2, so b1 = -bt1, b2 = bt2 mod p
-        for b1 in _lift_range(-bt1, p, b1_box):
-            for b2 in _lift_range(bt2, p, 6 * p):
-                pool.append((b1, b2))
-    else:
-        t6 = _descended_t6(F, a.rep, b.rep, provider)
-        transcript.append(f"t6 = {t6} over F_p^2 (sqrt(b) not in F_p)")
-        # the twist-unit sum sqrt(b)^e + sqrt(b)^(5e) over F_{p^2},
-        # e = (p^2 - 1)/6, is b^(e/2) + b^(5e/2) in F_p
-        e = (p * p - 1) // 12
-        w = F.add(F.pow(b.rep, e), F.pow(b.rep, 5 * e))
-        b22 = F.from_int(t6 * t6)
-        seen = set()
-        for sign in (1, -1):
-            # over F_{p^2}: b12 = b1^2 - 2 b2 and b22 = b2^2 mod p
-            b12 = F.el(F.mul(F.from_int(-sign * t6), w))
-            try:
-                roots = genus3_descend_mod_p(b12, b22)
-            except NoSolution:
-                continue
-            branch = sorted((b1, b2) for r1, r2 in roots
-                            for b1 in _lift_range(r1.rep, p, b1_box)
-                            for b2 in _lift_range(r2.rep, p, 6 * p))
-            for pair in branch:
-                if pair not in seen:
-                    seen.add(pair)
-                    pool.append(pair)
-        transcript.append(f"both sign branches pooled {len(pool)} pairs")
+    pool = _chi_a_pool(F, a.rep, b.rep, provider, transcript)
 
     chiE_at_1 = 1 - t2 + p
     orders = {}
@@ -442,21 +396,86 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         N = chiE_at_1 * (1 - b1 + b2 - b1 * p + p * p)
         if N > 0:
             orders[b1, b2] = N
-    passed = set(jacobian_order_screen(C, list(orders.values()), trials, seed))
+    passed = set(jacobian_order_screen(C, list(orders.values()), 1, seed))
     kept = [pair for pair, N in orders.items() if N in passed]
     if not kept:
-        raise NoCandidateSurvives("order checks eliminated every (b1, b2) pair")
-    transcript.append(f"order checks kept {len(kept)} of {len(pool)} pairs")
+        raise NoCandidateSurvives("order check eliminated every (b1, b2) pair")
+    transcript.append(f"order check: {len(pool)} -> {len(kept)} pairs")
 
     tuples = []
     for b1, b2 in kept:
         chiC = polys._int_poly_mul([p, -t2, 1],
                                    [p * p, -b1 * p, b2, -b1, 1])
-        t = (chiC[5], chiC[4], chiC[3])
-        if t not in tuples:
-            tuples.append(t)
+        tuples.append((chiC[5], chiC[4], chiC[3]))
     return _final_result(p, 3, tuples, transcript,
                          curve=C, trials=trials, seed=seed)
+
+
+def _twist_unit_sum(F, u, e):
+    """u^e + u^(5e) lifted to -2..2; u^e is a sixth root of unity."""
+    w = F.add(F.pow(u, e), F.pow(u, 5 * e))
+    w = w - F.p if w > F.p // 2 else w
+    if abs(w) > 2:
+        raise InternalError(f"twist-unit sum {w} is not a sum of a sixth "
+                            "root of unity and its inverse")
+    return w
+
+
+def _chi_a_pool(F, a, b, provider, transcript):
+    """The (b1, b2) of chi_A = T^4 - b1 T^3 + b2 T^2 - p b1 T + p^2 that
+    the closed forms in t6 allow; the true pair is always among them.
+
+    With sqrt(b) in F_p and p = 1 mod 3, A is E6 x E6 twisted by a sixth
+    root of unity zeta, and w = zeta + 1/zeta = sqrt(b)^e + sqrt(b)^(5e),
+    e = (p - 1)/6: the roots of chi_A are zeta pi, pi'/zeta, pi/zeta and
+    zeta pi' for pi, pi' those of E6, so b1 = (3|p) w t6 and b2 = t6^2 +
+    (w^2 - 2) p.  With sqrt(b) in F_p and p = 2 mod 3, (b1, b2) is
+    (0, 2p - t6^2).  With sqrt(b) outside F_p the twist holds over
+    F_{p^2}: B1 = b1^2 - 2 b2 = w t6 and B2 = b2^2 - 2p b1^2 + 2p^2 =
+    t6^2 + (w^2 - 2) p^2, with w the same sum there, so b2 = 2p +-
+    sqrt(2p^2 + 2p B1 + B2) and b1 = +-sqrt(B1 + 2 b2), kept inside the
+    Weil box.
+    """
+    p = F.p
+    sb = F.sqrt(b)
+    if sb is not None:
+        c = F.div(F.neg(a), F.mul(F.from_int(2), sb))
+        E6 = curve_from_f(F, [F.mul(F.from_int(2), c), F.from_int(-3),
+                              F.zero, F.one])
+        t6 = frobenius_trace(E6, provider)
+        transcript.append(f"t6 = {t6} over F_p (sqrt(b) in F_p)")
+        if p % 3 == 2:
+            pool = [(0, 2 * p - t6 * t6)]
+        else:
+            w = _twist_unit_sum(F, sb, (p - 1) // 6)
+            pool = [(F.legendre(3 % p) * w * t6, t6 * t6 + (w * w - 2) * p)]
+    else:
+        t6 = _descended_t6(F, a, b, provider)
+        transcript.append(f"t6 = {t6} over F_p^2 (sqrt(b) not in F_p)")
+        # sqrt(b)^((p^2 - 1)/6) over F_{p^2} is b^((p^2 - 1)/12) in F_p
+        w = _twist_unit_sum(F, b, (p * p - 1) // 12)
+        B1 = w * t6
+        B2 = t6 * t6 + (w * w - 2) * p * p
+        pool = []
+        for b2 in _signed_isqrt(2 * p * p + 2 * p * B1 + B2, 2 * p):
+            for b1 in _signed_isqrt(B1 + 2 * b2, 0):
+                if b1 * b1 <= 16 * p and abs(b2) <= 6 * p:
+                    pool.append((b1, b2))
+        if p % 3 == 2:
+            # x -> x^3 permutes F_p and chi(x) = chi(x^3), so x -> x^3
+            # carries #C(F_p) onto #E(F_p): the trace of A, b1, is 0
+            pool = [pair for pair in pool if pair[0] == 0]
+    transcript.append(
+        f"(b1, b2) pairs from the closed form in t6: {len(pool)}")
+    return pool
+
+
+def _signed_isqrt(n, centre):
+    """centre - r and centre + r for the integer r = sqrt(n), if any."""
+    r = introot(n, 2) if n >= 0 else -1
+    if r < 0 or r * r != n:
+        return []
+    return sorted({centre - r, centre + r})
 
 
 def _descended_t6(F, a, b, provider):
@@ -479,18 +498,6 @@ def _descended_t6(F, a, b, provider):
                           F.mul(F.from_int(-3), s), F.zero, F.one])
     t = frobenius_trace(Ed, provider)
     return F.legendre(F.neg(s)) * (t * t - 2 * p)
-
-
-def _lift_range(residue, p, bound):
-    """Integers congruent to residue mod p inside [-bound, bound]."""
-    r = int(residue) % p
-    x = r - p * ((r + bound) // p)
-    out = []
-    while x <= bound:
-        if x >= -bound:
-            out.append(x)
-        x += p
-    return out
 
 
 # --- Legendre-polynomial congruence checkers ---

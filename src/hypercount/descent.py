@@ -20,8 +20,7 @@ from math import comb, isqrt
 from . import polys
 from .config import DEFAULT_SEED
 from .curves import LPoly, jacobian_order_check, lpoly_from_counts
-from .errors import (AmbiguousResult, BudgetExceeded, NoCandidateSurvives,
-                     NoSolution, NotPrimeField)
+from .errors import AmbiguousResult, BudgetExceeded, NoCandidateSurvives
 from .fields import introot, make_prime_field, next_prime
 
 # DFS node budget for the divisor knapsack, and how many primes l to
@@ -165,34 +164,6 @@ def _order_check_prune(cands, curve, trials, seed):
     if not kept:
         raise NoCandidateSurvives("order checks eliminated every tuple")
     return CandidateSet(cands.q, cands.g, kept)
-
-
-def genus3_descend_mod_p(b12, b22):
-    """Mod-p pairs (b1, b2) with b1^2 - 2 b2 = b12 and b2^2 = b22.
-
-    Squaring forgot both signs, so up to four pairs come back; only
-    elimination downstream can break the tie.
-    """
-    F = b12.desc
-    if F.k != 1:
-        raise NotPrimeField("the descent relations hold mod p only")
-    b22 = F.el(b22)
-    r2 = b22.sqrt()
-    if r2 is None:
-        raise NoSolution("b_{2,2} is not a square mod p")
-    out, seen = [], set()
-    for b2 in (r2, -r2):
-        r1 = (b12 + b2 + b2).sqrt()
-        if r1 is None:
-            continue
-        for b1 in (r1, -r1):
-            key = (b1.rep, b2.rep)
-            if key not in seen:
-                seen.add(key)
-                out.append((b1, b2))
-    if not out:
-        raise NoSolution("b_{1,2} + 2 b_2 is a nonsquare for both signs")
-    return out
 
 
 def a1_elimination_coeffs(a12, a22, a32, a42, q):

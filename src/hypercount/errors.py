@@ -86,10 +86,6 @@ class SingularSpecialization(HypercountError):
     pass
 
 
-class NoSolution(HypercountError):
-    pass
-
-
 class NoCandidateSurvives(HypercountError):
     pass
 

@@ -86,10 +86,11 @@ def test_count_genus4_dispatch():
 
 
 def test_count_ambiguous_exits_3():
-    # (a, b) = (1, 2) over F_5 survives every pruning stage with two
-    # candidates; the CLI must refuse to pick one
-    code, out, _ = _run(["count", "--p", "5", "--genus", "3",
-                         "--a", "1", "--b", "2"])
+    # genus 6 over F_31 with (a, b) = (29, 7) keeps two candidates with
+    # the same point count and chi mod p through every pruning stage
+    # (with the default 12 trials too); the CLI must refuse to pick one
+    code, out, _ = _run(["count", "--p", "31", "--genus", "6",
+                         "--a", "29", "--b", "7", "--trials", "1"])
     assert code == 3
     assert out["status"] == "ambiguous"
     assert out["chi"] is None and out["jacobian_order"] is None

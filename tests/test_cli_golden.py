@@ -1,9 +1,10 @@
 """Golden corpus: the exact stdout and exit code of `count` on fixed inputs.
 
 data/count_golden.json holds one entry per run: genus 2 in both classes
-of b, genus 3 under both trace methods, the genus-3 exit-3 example,
-genus 4 through the degree-16 eliminant (splitting degrees 1, 2 and 4),
-genus 5, and the genus-7 refusal that exits 2 before counting.  Any
+of b, genus 3 under both trace methods, two genus-3 curves that once
+exited 3 (one with t6 = 0), genus 4 through the degree-16 eliminant
+(splitting degrees 1, 2 and 4), genus 5, a genus-6 tie that exits 3,
+and the genus-7 refusal that exits 2 before counting.  Any
 change to an answer, a transcript line or the JSON layout shows up
 here as a byte difference.
 """

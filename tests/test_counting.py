@@ -6,13 +6,14 @@ import pytest
 
 from hypercount import curves
 from hypercount.counting import (INCONCLUSIVE, SKIPPED, TraceProvider,
-                                 _descended_t6, _lift_range, chi_generic,
+                                 _chi_a_pool, _descended_t6, chi_generic,
                                  chi_genus3, frobenius_trace,
                                  is_probably_irreducible,
                                  legendre_octic_congruence,
                                  legendre_trace_congruence)
-from hypercount.curves import (count_points, curve_from_ab, curve_from_f,
-                               zeta_oracle)
+from hypercount.cartier import chi_mod_p
+from hypercount.curves import (LPoly, count_points, curve_from_ab,
+                               curve_from_f, zeta_oracle)
 from hypercount.decomp import elliptic_quotient
 from hypercount.descent import CandidateSet, weil_filter
 from hypercount.errors import (AmbiguousResult, BadGenus, BudgetExceeded,
@@ -76,12 +77,6 @@ def test_chi_result_plumbing():
         CandidateSet(13, 3, [])
 
 
-def test_lift_range():
-    assert _lift_range(3, 7, 10) == [-4, 3, 10]
-    assert _lift_range(0, 5, 12) == [-10, -5, 0, 5, 10]
-    assert _lift_range(6, 7, 2) == [-1]
-
-
 def test_chi_genus3_worked_example():
     F = make_prime_field(13)
     res = chi_genus3(F.el(2), F.el(5))
@@ -116,6 +111,58 @@ def test_chi_genus3_matches_oracle_both_branches():
             assert want.a in res.tuples
             if res.status == "unique":
                 assert res.coefficients == want.a
+
+
+def test_chi_a_pool_holds_the_oracle_chi_a():
+    # chi_C = chi_E chi_A, so the oracle's a_1, a_2 and t2 give the true
+    # (b1, b2) of chi_A = T^4 - b1 T^3 + b2 T^2 - p b1 T + p^2
+    rng = random.Random(31)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        F = make_prime_field(p)
+        cases = []
+        for cls in (1, -1):
+            bs = [v for v in range(1, p) if legendre_symbol(F, v) == cls]
+            cases.append((0, bs[0]))
+            while len(cases) % 3:
+                a, b = rng.randrange(1, p), rng.choice(bs)
+                if (a * a - 4 * b) % p:
+                    cases.append((a, b))
+        for a, b in cases:
+            a1, a2, _ = zeta_oracle(curve_from_ab(F, 3, a, b)).a
+            t2 = -zeta_oracle(elliptic_quotient(F, 3, a, b)).a[0]
+            b1 = -a1 - t2
+            b2 = a2 - t2 * b1 - p
+            for method in ("naive_count", "bsgs"):
+                pool = _chi_a_pool(F, F.coerce(a), F.coerce(b),
+                                   TraceProvider(method), [])
+                assert (b1, b2) in pool, (p, a, b, method)
+                assert 1 <= len(pool) <= 4
+
+
+@pytest.mark.parametrize("p, a, b, want", [
+    (5, 1, 2, (0, 6, 0)),
+    (7, 0, 1, (0, 21, 0)),
+    (229, 84, 1, (-66, 2139, -40876)),
+    (271, 0, 185, (0, 813, 0)),
+    (1051, 138, 250, None),
+])
+def test_former_ambiguous_inputs_count_uniquely(p, a, b, want):
+    # each of these once ended with several candidates (exit 3); at
+    # p = 7 and 271, b is a square and t6 = 0
+    F = make_prime_field(p)
+    res = chi_genus3(F.el(a), F.el(b), provider=TraceProvider("bsgs"))
+    assert res.status == "unique"
+    if want is not None:
+        assert res.coefficients == want
+    C = curve_from_ab(F, 3, a, b)
+    L = LPoly(p, 3, list(res.coefficients))
+    s1, s2 = L.power_sums(2)
+    assert count_points(C, 1) == p + 1 - s1
+    assert count_points(C, 2) == p * p + 1 - s2
+    p_mod = [c % p for c in L.chi_coeffs()]
+    assert p_mod == chi_mod_p(C).coeffs
+    if p ** 3 <= 10 ** 6:
+        assert res.coefficients == zeta_oracle(C).a
 
 
 def test_descended_t6_matches_count_over_quadratic_extension():

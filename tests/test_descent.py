@@ -11,11 +11,9 @@ from hypercount.descent import (CandidateSet, _chi_from_real, _compose_int,
                                 _degree_g_products, _dickson_int, _factor_mod,
                                 _order_check_prune, _real_weil_poly,
                                 a1_elimination_coeffs, extend_lpoly,
-                                generic_descend, genus3_descend_mod_p,
-                                genus4_descend, weil_filter)
-from hypercount.errors import (AmbiguousResult, NoCandidateSurvives,
-                               NoSolution, NotPrimeField)
-from hypercount.fields import make_extension, make_prime_field
+                                generic_descend, genus4_descend, weil_filter)
+from hypercount.errors import AmbiguousResult, NoCandidateSurvives
+from hypercount.fields import make_prime_field
 
 
 def _screen(found, q, g, C):
@@ -83,24 +81,6 @@ def test_candidate_set_plumbing():
     assert CandidateSet(49, 2, [(1, 2)]).status == "unique"
     with pytest.raises(NoCandidateSurvives):
         CandidateSet(49, 2, [])
-
-
-def test_genus3_descend_mod_p_recovers_pairs():
-    F = make_prime_field(13)
-    rng = random.Random(6)
-    for _ in range(10):
-        b1, b2 = F.el(rng.randrange(13)), F.el(rng.randrange(13))
-        pairs = genus3_descend_mod_p(b1 * b1 - b2 - b2, b2 * b2)
-        assert (b1, b2) in pairs and len(pairs) <= 4
-        for (c1, c2) in pairs:
-            assert c1 * c1 - c2 - c2 == b1 * b1 - b2 - b2
-            assert c2 * c2 == b2 * b2
-    ns = next(v for v in range(2, 13) if F.legendre(v) == -1)
-    with pytest.raises(NoSolution):
-        genus3_descend_mod_p(F.el(1), F.el(ns))
-    K = make_extension(F, 2)
-    with pytest.raises(NotPrimeField):
-        genus3_descend_mod_p(K.el(K.from_int(1)), K.el(K.from_int(1)))
 
 
 def test_a1_elimination_polynomial_has_a1_root():
