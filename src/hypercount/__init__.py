@@ -13,9 +13,9 @@ from .cartier import (CMMatrix, ChiModP, chi_mod_p, chi_mod_p_table,
                       cm_matrix_formula, cm_matrix_naive,
                       permutation_structure, wp_product)
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .counting import (INCONCLUSIVE, SKIPPED, TraceProvider, chi_generic,
-                       chi_genus3, frobenius_trace, is_probably_irreducible,
-                       legendre_octic_congruence, legendre_trace_congruence)
+from .counting import (SKIPPED, TraceProvider, chi_generic, chi_genus3,
+                       frobenius_trace, legendre_octic_congruence,
+                       legendre_trace_congruence)
 from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,
                      jac_scalar_mul, jacobian_order_check,

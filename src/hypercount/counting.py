@@ -10,7 +10,6 @@ a transcript so ambiguous outputs stay auditable.
 """
 
 import random
-from fractions import Fraction
 
 from . import polys
 from .cartier import chi_mod_p
@@ -18,19 +17,17 @@ from .config import DEFAULT_SEED, DEFAULT_TRIALS, default_budget
 from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
                      curve_from_f, jacobian_order_screen, zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
-from .descent import (CandidateSet, _factor_mod, _order_check_prune,
-                      extend_lpoly, generic_descend, genus4_descend,
-                      weil_filter)
+from .descent import (CandidateSet, _order_check_prune, extend_lpoly,
+                      generic_descend, genus4_descend, weil_filter)
 from .errors import (BadGenus, BudgetExceeded, CharacteristicDividesGenus,
                      InternalError, NoCandidateSurvives,
                      NonResidueDiscriminant, NotPrimeField,
-                     SingularSpecialization, ZeroPolynomial)
+                     SingularSpecialization)
 from .fields import (FieldElement, embed, introot, make_extension,
-                     make_prime_field, next_prime, nth_root,
-                     nth_root_field_degree, prime_factors, project)
+                     make_prime_field, nth_root, nth_root_field_degree,
+                     prime_factors, project)
 
 SKIPPED = "skipped"
-INCONCLUSIVE = "inconclusive"
 
 _BSGS_CAP = 10 ** 14
 
@@ -266,6 +263,16 @@ def _odd_flipped(a):
     return [-v if i % 2 == 0 else v for i, v in enumerate(a)]
 
 
+def _union(sets):
+    """The tuples of every CandidateSet in turn, first occurrence kept."""
+    out = []
+    for cs in sets:
+        for u in cs.tuples:
+            if u not in out:
+                out.append(u)
+    return out
+
+
 def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """chi of a family curve by splitting-field assembly plus descent.
 
@@ -279,7 +286,11 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 
     Each descent step runs the degree-16 eliminant at g = 4 and the
     real-Weil-polynomial route otherwise; whatever re-extends then faces
-    the Weil filter and the order checks over the field it landed in.
+    the Weil filter.  The top tuple is exact, every descender returns all
+    tuples that re-extend, and the Weil filter keeps the truth, so the
+    truth is always in the union of the survivors.  A union of one is
+    therefore the truth and is kept as it is; only a larger union faces
+    the order checks over the field it landed in, parent by parent.
     """
     if not curve.is_family:
         raise ValueError("chi_generic needs the two-parameter family shape")
@@ -332,19 +343,27 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     n = K
     for kj in _prime_factorization(K):
         i = n // kj
-        target = curve.base_extend(i, seed=seed)
-        S = []
+        # the Weil survivors of each parent; t drops out when nothing
+        # re-extends or the filter empties it
+        found = []
         for t in tuples:
-            found = descend(LPoly(F.q ** n, g, list(t)), kj, seed)
-            # t drops out when nothing re-extends or every tuple fails
+            lifted = descend(LPoly(F.q ** n, g, list(t)), kj, seed)
             try:
-                cs = weil_filter(CandidateSet(F.q ** i, g, found))
-                cs = _order_check_prune(cs, target, trials, seed)
+                found.append(weil_filter(CandidateSet(F.q ** i, g, lifted)))
             except NoCandidateSurvives:
-                continue
-            for u in cs.tuples:
-                if u not in S:
-                    S.append(u)
+                pass
+        S = _union(found)
+        if len(S) > 1:
+            # a union of one is the truth and needs no order check
+            target = curve.base_extend(i, seed=seed)
+            pruned = []
+            for cs in found:
+                try:
+                    pruned.append(
+                        _order_check_prune(cs, target, trials, seed))
+                except NoCandidateSurvives:
+                    pass
+            S = _union(pruned)
         if not S:
             raise NoCandidateSurvives(
                 f"descent from F_q^{n} to F_q^{i} eliminated every tuple")
@@ -593,163 +612,3 @@ def legendre_octic_congruence(p, rho):
         "sign": sign,
         "holds": holds,
     }
-
-
-# --- rational irreducibility ---
-
-# char 2 is outside the field stack, so the probes start at 3
-_IRRED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def is_probably_irreducible(chi):
-    """Rational irreducibility from mod-l patterns, else a factor hunt.
-
-    True is a proof: chi stays irreducible mod some good prime, or the
-    factor-degree patterns mod several primes rule out every proper
-    split.  False exhibits a rational factor (a repeated factor, an
-    integer root, or a monic quadratic divisor).  Everything else comes
-    back as the string "inconclusive"; compare against True and False
-    explicitly, never by truthiness.
-    """
-    chi = [int(v) for v in chi]
-    while chi and chi[-1] == 0:
-        chi.pop()
-    if not chi:
-        raise ZeroPolynomial("the zero polynomial has no factorization")
-    n = len(chi) - 1
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    if _derivative_gcd_degree(chi) > 0:
-        return False  # a repeated factor is a rational factor
-
-    achievable = None
-    for l in _IRRED_PRIMES:
-        if chi[-1] % l == 0:
-            continue
-        degs = _factor_degrees_mod(l, chi)
-        if degs is None:
-            continue
-        if degs == [n]:
-            return True
-        sums = _subset_sums(degs)
-        achievable = sums if achievable is None else achievable & sums
-        if achievable == {0, n}:
-            return True
-
-    if abs(chi[-1]) == 1:
-        if chi[-1] == -1:
-            chi = [-v for v in chi]
-        if _monic_small_divisor(chi) is not None:
-            return False
-        if n <= 5:
-            return True  # a proper split of degree <= 5 has a small factor
-    return INCONCLUSIVE
-
-
-def _derivative_gcd_degree(chi):
-    """deg gcd(chi, chi') over Q; positive exactly for repeated factors."""
-    A = [Fraction(v) for v in chi]
-    B = [Fraction(i * v) for i, v in enumerate(chi)][1:]
-    while any(B):
-        A, B = B, _frac_rem(A, B)
-    while len(A) > 1 and not A[-1]:
-        A.pop()
-    return len(A) - 1
-
-
-def _frac_rem(A, B):
-    while B and not B[-1]:
-        B.pop()
-    r = list(A)
-    while len(r) >= len(B) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(B):
-            break
-        f = r[-1] / B[-1]
-        s = len(r) - len(B)
-        for i, bv in enumerate(B):
-            r[s + i] -= f * bv
-        r.pop()
-    return r
-
-
-def _factor_degrees_mod(l, chi):
-    """Irreducible factor degrees of chi mod l, or None for a bad prime.
-
-    Only squarefree reductions count: a repeated factor mod l can hide
-    pieces of the factorization, and the subset-sum argument needs the
-    complete degree multiset to stay sound.
-    """
-    Fl = make_prime_field(l)
-    f = [Fl.coerce(v) for v in chi]
-    if not polys.is_squarefree(Fl, f):
-        return None
-    return sorted(polys.degree(h) for h, _ in _factor_mod(Fl, f, DEFAULT_SEED))
-
-
-def _subset_sums(degs):
-    sums = {0}
-    for d in degs:
-        sums |= {s + d for s in sums}
-    return sums
-
-
-def _monic_small_divisor(chi):
-    """A monic degree <= 2 integer divisor of monic chi, or None.
-
-    Factors mod one prime l larger than twice the square of the root
-    bound, so degree <= 2 divisors lift uniquely from their mod-l
-    images; chi is squarefree here, so the images are products of
-    distinct mod-l irreducibles.
-    """
-    n = len(chi) - 1
-    R = 1 + max(abs(v) for v in chi)
-    l = next_prime(max(2 * R * R, 2 * n, 100))
-    while True:
-        Fl = make_prime_field(l)
-        f = [Fl.coerce(v) for v in chi]
-        if polys.is_squarefree(Fl, f):
-            break
-        l = next_prime(l)
-
-    def lift(v):
-        return v if 2 * v <= l else v - l
-
-    factors = [h for h, _ in _factor_mod(Fl, f, DEFAULT_SEED)]
-    linear = [h for h in factors if polys.degree(h) == 1]
-    for h in linear:
-        r = lift(Fl.neg(h[0]))
-        if _int_eval(chi, r) == 0:
-            return [-r, 1]
-    quads = [h for h in factors if polys.degree(h) == 2]
-    for ia in range(len(linear)):
-        for ib in range(ia + 1, len(linear)):
-            quads.append(polys.mul(Fl, linear[ia], linear[ib]))
-    for h in quads:
-        cand = [lift(h[0]), lift(h[1]), 1]
-        if _divides_int(cand, chi):
-            return cand
-    return None
-
-
-def _int_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _divides_int(d, f):
-    """Exact division test of integer polynomials, d monic."""
-    r = list(f)
-    while len(r) >= len(d):
-        lead = r[-1]
-        s = len(r) - len(d)
-        for i, dv in enumerate(d):
-            r[s + i] -= lead * dv
-        r.pop()
-    return not any(r)

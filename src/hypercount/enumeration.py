@@ -1,14 +1,23 @@
 """Vectorized exhaustive point counting over small finite fields.
 
 Counts solutions of y^2 = f(x) (plus the single point at infinity of the
-odd-degree model) by enumerating every x in chunks, with a precomputed
-square-flag table indexed by packed digit vectors. For each x the fiber
-contributes 1 + chi2(f(x)) points, so the total is 1 + 2S - Z where S is the
-number of x with f(x) a square (zero included) and Z the number of zeros.
+odd-degree model) by enumerating every x, with a precomputed square-flag
+table indexed by packed digit vectors.  For each x the fiber contributes
+1 + chi2(f(x)) points, so the total is 1 + 2S - Z where S is the number
+of x with f(x) a square (zero included) and Z the number of zeros.
 
-int64 stays exact: digit products are < p^2 and at most k of them accumulate
-before a reduction, and packed indices are < q.  `check_enumerable` refuses
-any field where that fails, whatever the budget.
+Over F_{p^k}, k > 1, each x is x0 + t with t in F_p and x0 a lane, an
+element whose digit 0 is zero; digits are held as contiguous (k, lanes)
+arrays.  f(x0 + t) is a polynomial of degree d = deg f in t, so Horner
+runs only for t < min(p, d + 1).  From there the backward differences
+of order 0..d at t = d step t = d+1..p-1 with d digit-wise additions mod
+p each.  When p <= d + 1 there is nothing to step and every value comes
+from Horner.  The square-flag table is built the same way from x^2.
+
+int64 stays exact: digit products are < p^2 and at most k of them
+accumulate before a reduction, every sum is reduced mod p at once, and
+packed indices are < q.  `check_enumerable` refuses any field where
+that fails, whatever the budget.
 """
 
 import numpy as np
@@ -19,76 +28,103 @@ _CHUNK = 1 << 16
 _INT64_LIMIT = 1 << 63
 
 
-def _digit_chunks(p, k, q):
-    for start in range(0, q, _CHUNK):
-        n = min(_CHUNK, q - start)
-        v = np.arange(start, start + n, dtype=np.int64)
-        digs = np.empty((n, k), dtype=np.int64)
-        for i in range(k):
-            digs[:, i] = v % p
-            v = v // p
-        yield digs
-
-
 class _ExtOps:
-    """Batch arithmetic on (n, k) digit arrays for one extension field."""
+    """Batch arithmetic on (k, n) digit arrays for one extension field."""
 
     def __init__(self, F):
         self.p = F.p
         self.k = F.k
         self.red = np.array([list(r) for r in F._red], dtype=np.int64)
-        self.pack_vec = np.array([F.p ** i for i in range(F.k)],
-                                 dtype=np.int64)
 
     def mul(self, A, B):
         p, k = self.p, self.k
-        conv = np.zeros((A.shape[0], 2 * k - 1), dtype=np.int64)
+        conv = np.zeros((2 * k - 1, A.shape[1]), dtype=np.int64)
         for i in range(k):
-            Ai = A[:, i]
-            for j in range(k):
-                conv[:, i + j] += Ai * B[:, j]
+            conv[i:i + k] += A[i] * B
         conv %= p
-        out = conv[:, :k]
+        out = conv[:k]
         for d in range(2 * k - 2, k - 1, -1):
-            out += conv[:, d, None] * self.red[d - k][None, :]
+            out += self.red[d - k][:, None] * conv[d]
         return out % p
 
-    def const(self, n, digits):
-        A = np.empty((n, self.k), dtype=np.int64)
-        A[:] = np.array(digits, dtype=np.int64)[None, :]
-        return A
-
     def pack(self, A):
-        return A @ self.pack_vec
+        acc = A[-1].copy()
+        for i in range(self.k - 2, -1, -1):
+            acc *= self.p
+            acc += A[i]
+        return acc
 
 
 def _horner_ext(ops, X, coeffs):
-    # coeffs ascending, raw digit tuples
-    n = X.shape[0]
-    acc = ops.const(n, coeffs[-1])
+    # coeffs ascending, (k, 1) digit columns
+    acc = np.repeat(coeffs[-1], X.shape[1], axis=1)
     for c in reversed(coeffs[:-1]):
         acc = ops.mul(acc, X)
-        if any(c):
-            acc = (acc + ops.const(n, c)) % ops.p
+        if c.any():
+            acc += c
+            acc %= ops.p
     return acc
+
+
+def _walk(ops, coeffs, lanes):
+    """Packed f(x0 + t) for every lane x0, one array per t = 0..p-1."""
+    p, k = ops.p, ops.k
+    d = len(coeffs) - 1
+    X = np.zeros((k, lanes.size), dtype=np.int64)
+    v = lanes.copy()
+    for i in range(1, k):
+        X[i] = v % p
+        v //= p
+    vals = []
+    for t in range(min(p, d + 1)):
+        X[0] = t
+        vals.append(_horner_ext(ops, X, coeffs))
+        yield ops.pack(vals[-1])
+    if p <= d + 1:
+        return
+    del X
+    # forward differences in place: afterwards vals[d - j] holds the
+    # j-th backward difference at t = d
+    for j in range(1, d + 1):
+        for i in range(d - j + 1):
+            np.subtract(vals[i + 1], vals[i], out=vals[i])
+            vals[i] %= p
+    # unsigned, so that min(s, s - p) reduces a sum s < 2p
+    D = [vals[d - j].view(np.uint64) for j in range(d + 1)]
+    up = np.uint64(p)
+    for _ in range(d + 1, p):
+        for j in range(d - 1, -1, -1):
+            Dj = D[j]
+            Dj += D[j + 1]
+            np.minimum(Dj, Dj - up, out=Dj)
+        yield ops.pack(D[0])
+
+
+def _lane_chunks(p, k, d):
+    # the walk keeps d + 2 live (k, lanes) arrays: 2 k _CHUNK int64 in all
+    n = p ** (k - 1)
+    step = max(1, 2 * _CHUNK // (d + 2))
+    for start in range(0, n, step):
+        yield np.arange(start, min(start + step, n), dtype=np.int64)
 
 
 def _count_ext(F, fcoeffs):
     ops = _ExtOps(F)
-    q = F.q
-    flags = np.zeros(q, dtype=bool)
-    flags[0] = True
-    for X in _digit_chunks(F.p, F.k, q):
-        sq = ops.mul(X, X)
-        flags[ops.pack(sq)] = True
+    p, k = F.p, F.k
+    flags = np.zeros(F.q, dtype=bool)
+    zero = np.zeros((k, 1), dtype=np.int64)
+    one = np.eye(k, 1, dtype=np.int64)
+    square = [zero, zero, one]
+    for lanes in _lane_chunks(p, k, 2):
+        for packed in _walk(ops, square, lanes):
+            flags[packed] = True
+    coeffs = [np.array(c, dtype=np.int64).reshape(k, 1) for c in fcoeffs]
     S = 0
     Z = 0
-    coeffs = [list(c) for c in fcoeffs]
-    for X in _digit_chunks(F.p, F.k, q):
-        vals = _horner_ext(ops, X, coeffs)
-        packed = ops.pack(vals)
-        S += int(flags[packed].sum())
-        Z += int((packed == 0).sum())
+    for lanes in _lane_chunks(p, k, len(coeffs) - 1):
+        for packed in _walk(ops, coeffs, lanes):
+            S += int(np.count_nonzero(np.take(flags, packed)))
+            Z += int(np.count_nonzero(packed == 0))
     return 1 + 2 * S - Z
 
 

@@ -249,28 +249,6 @@ def legendre_eval(F, m, x):
     return cur
 
 
-def legendre_coeff_oracle(F, m):
-    """P_m as a coefficient list via 2^{-m} sum C(m,k)^2 (x-1)^{m-k} (x+1)^k.
-
-    Independent of the recurrence; exact integer expansion reduced into F.
-    Intended for cross-checks, m <= 64.
-    """
-    from math import comb
-    if m > 64:
-        raise ValueError("oracle limited to m <= 64")
-    acc = [0] * (m + 1)
-    for k in range(m + 1):
-        term = [comb(m, k) ** 2]
-        for _ in range(m - k):
-            term = _int_poly_mul(term, [-1, 1])
-        for _ in range(k):
-            term = _int_poly_mul(term, [1, 1])
-        for i, t in enumerate(term):
-            acc[i] += t
-    inv2m = F.inv(F.pow(F.from_int(2), m))
-    return trim(F, [F.mul(F.from_int(t), inv2m) for t in acc])
-
-
 def _int_poly_mul(f, g):
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):

@@ -1,15 +1,13 @@
-"""Counting algorithms, trace providers, congruences, irreducibility."""
+"""Counting algorithms, trace providers, congruences."""
 
 import random
 
 import pytest
 
-from hypercount import curves
-from hypercount.counting import (INCONCLUSIVE, SKIPPED, TraceProvider,
-                                 _chi_a_pool, _descended_t6, chi_generic,
-                                 chi_genus3, frobenius_trace,
-                                 is_probably_irreducible,
-                                 legendre_octic_congruence,
+from hypercount import counting, curves
+from hypercount.counting import (SKIPPED, TraceProvider, _chi_a_pool,
+                                 _descended_t6, chi_generic, chi_genus3,
+                                 frobenius_trace, legendre_octic_congruence,
                                  legendre_trace_congruence)
 from hypercount.cartier import chi_mod_p
 from hypercount.curves import (LPoly, count_points, curve_from_ab,
@@ -19,7 +17,7 @@ from hypercount.descent import CandidateSet, weil_filter
 from hypercount.errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus,
                                NoCandidateSurvives, NotPrimeField,
-                               SingularSpecialization, ZeroPolynomial)
+                               SingularSpecialization)
 from hypercount.fields import (embed, legendre_symbol, make_extension,
                                make_prime_field)
 
@@ -266,6 +264,47 @@ def test_chi_generic_matches_oracle():
             assert want.a in res.tuples
 
 
+def _spy_order_checks(monkeypatch):
+    """Record (tuples in, degree of the target field over F_p) for each
+    order check the driver runs, and run it."""
+    calls = []
+    real = counting._order_check_prune
+
+    def spy(cands, curve, trials, seed):
+        calls.append((len(cands), curve.F.k))
+        return real(cands, curve, trials, seed)
+
+    monkeypatch.setattr(counting, "_order_check_prune", spy)
+    return calls
+
+
+def test_lone_descent_survivor_skips_order_checks(monkeypatch):
+    # K = 2: the one descent step keeps one tuple, which is the truth
+    calls = _spy_order_checks(monkeypatch)
+    res = chi_generic(curve_from_ab(make_prime_field(31), 4, 28, 12))
+    assert calls == []
+    assert res.coefficients == (0, 24, 0, 1488)
+    assert res.transcript == [
+        "quotients of the normal form over F_q^2: genus 2 and 2 counted",
+        "splitting degree K = 2; L over F_q^2 assembled",
+        "descend by 2: 1 -> 1 candidates"]
+
+
+def test_descent_order_checks_a_union_of_two_or_more(monkeypatch):
+    # K = 4: the step to F_{q^2} keeps one tuple and runs no order
+    # check there; the step to F_q keeps two, and they are checked
+    calls = _spy_order_checks(monkeypatch)
+    res = chi_generic(curve_from_ab(make_prime_field(1097), 2, 634, 371))
+    assert calls == [(2, 1)]
+    assert res.coefficients == (18, 162)
+    assert res.transcript == [
+        "quotients of the normal form over F_q^2: genus 1 and 1 counted",
+        "twist correction over the splitting field: odd coefficients flipped",
+        "splitting degree K = 4; L over F_q^4 assembled",
+        "descend by 2: 1 -> 1 candidates",
+        "descend by 2: 1 -> 1 candidates"]
+
+
 def test_chi_generic_rejects():
     F = make_prime_field(11)
     with pytest.raises(ValueError):
@@ -311,32 +350,3 @@ def test_octic_congruence_holds():
         legendre_octic_congruence(17, 1)
     with pytest.raises(SingularSpecialization):
         legendre_octic_congruence(17, 16)
-
-
-def test_is_probably_irreducible_verdicts():
-    # chi of a genus-2 curve that stays irreducible mod some probe
-    assert is_probably_irreducible([49, -28, 16, -4, 1]) is True
-    assert is_probably_irreducible([-13, 0, 1]) is True
-    assert is_probably_irreducible([7, 2, 1]) is True
-    assert is_probably_irreducible([5, 1]) is True
-    # (T^2 - T + 7)^2 has a repeated factor
-    sq = [49, -14, 15, -2, 1]
-    assert is_probably_irreducible(sq) is False
-    # (T^2 + T + 1)(T^2 + 2): the quadratic divisor hunt finds a factor
-    assert is_probably_irreducible([2, 2, 3, 1, 1]) is False
-    # (T^3 + 2)(T^3 + 3): no small divisor, patterns can't settle it
-    assert is_probably_irreducible([6, 0, 0, 5, 0, 0, 1]) == INCONCLUSIVE
-    assert is_probably_irreducible([3]) is False
-    # non-monic input: the small-divisor hunt does not apply
-    assert is_probably_irreducible([-2, 0, 2]) == INCONCLUSIVE
-    with pytest.raises(ZeroPolynomial):
-        is_probably_irreducible([0, 0, 0])
-
-
-def test_is_probably_irreducible_on_real_chi():
-    # an irreducible chi certifies a simple Jacobian; ambiguity-prone
-    # split Jacobians come back False or inconclusive
-    F = make_prime_field(13)
-    chi = zeta_oracle(curve_from_ab(F, 2, 3, 4)).chi_coeffs()
-    out = is_probably_irreducible(chi)
-    assert out in (True, False, INCONCLUSIVE)
