@@ -20,7 +20,7 @@ from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,
                      jac_scalar_mul, jacobian_order_check,
                      jacobian_order_screen, lpoly_from_counts, mumford_valid,
-                     quadratic_twist, random_divisor, zeta_oracle)
+                     random_divisor, zeta_oracle)
 from .decomp import (QuotientPair, decomposition_check, elliptic_quotient,
                      quotients_family, quotients_normalized, split_quotients,
                      splitting_field_degree, twist_curves)

@@ -83,8 +83,6 @@ def _apply_budget(args):
     every enumeration deep in the call tree sees the same cap."""
     if getattr(args, "budget", None) is not None:
         os.environ[BUDGET_ENV] = str(args.budget)
-    elif getattr(args, "stretch", False):
-        os.environ[BUDGET_ENV] = str(10**30)
     default_budget()  # validates the env value early
 
 
@@ -418,8 +416,6 @@ def _add_common(sub):
     sub.add_argument("--budget", type=_int, default=None,
                      help="max enumerable field size (overrides "
                           f"{BUDGET_ENV})")
-    sub.add_argument("--stretch", action="store_true",
-                     help="lift the budget guard for large examples")
     sub.add_argument("--output", choices=("json", "text"), default="json")
     sub.add_argument("--out", default=None, help="also write JSON here")
 

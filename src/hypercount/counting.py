@@ -4,9 +4,10 @@ Every algorithm here has the same shape: count something small over the
 field where the Jacobian splits (an elliptic trace, a genus-2 quotient,
 the normalized quotient pair), assemble the L-polynomial there, and
 walk it back down to the base field one prime degree at a time.  Wrong
-candidates are pruned by Weil bounds and by multiplying random Jacobian
-divisors with the order each candidate predicts.  Each stage appends to
-a transcript so ambiguous outputs stay auditable.
+candidates are pruned by Weil bounds, then by one tie-break ladder: a
+point count, chi mod p, and multiplying random Jacobian divisors with
+the order each candidate predicts.  Each stage appends to a transcript
+so ambiguous outputs stay auditable.
 """
 
 import random
@@ -15,10 +16,11 @@ from . import polys
 from .cartier import chi_mod_p
 from .config import DEFAULT_SEED, DEFAULT_TRIALS, default_budget
 from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
-                     curve_from_f, jacobian_order_screen, zeta_oracle)
+                     curve_from_f, jacobian_order_check,
+                     jacobian_order_screen, zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
-from .descent import (CandidateSet, _order_check_prune, extend_lpoly,
-                      generic_descend, genus4_descend, weil_filter)
+from .descent import (CandidateSet, extend_lpoly, generic_descend,
+                      genus4_descend, weil_filter)
 from .errors import (BadGenus, BudgetExceeded, CharacteristicDividesGenus,
                      InternalError, NoCandidateSurvives,
                      NonResidueDiscriminant, NotPrimeField,
@@ -204,44 +206,84 @@ def _refilter(cs, keep, transcript, label):
     return CandidateSet(cs.q, cs.g, keep)
 
 
-def _final_result(q, g, tuples, transcript, curve=None,
-                  trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """Wrap surviving tuples, re-checking the Weil box one last time.
+def _order_check_prune(cands, curve, trials, seed):
+    """Keep tuples whose predicted group order kills random divisors.
 
-    With the curve in hand, a lingering tie gets three tiebreakers in
-    turn, cheapest conclusive first and none able to drop the true
-    tuple: one point count on the curve itself (pins the trace exactly;
-    skipped over budget), chi mod p through the Cartier-Manin route
-    (pins the residue class; skipped over budget), and the order checks
-    over the base field and small extensions.
+    A wrong tuple survives base-field sampling whenever its order is a
+    multiple of the group exponent, and no number of trials changes
+    that.  So while several tuples remain, the same test reruns over
+    F_{q^2} and F_{q^3} (tower degree capped to keep the arithmetic
+    cheap), where the exponents differ; the true tuple is safe because
+    its extended order is the actual group order there.
     """
-    cs = weil_filter(CandidateSet(q, g, tuples))
-    if len(cs) < len(tuples):
-        transcript.append(f"final Weil filter: {len(tuples)} -> {len(cs)}")
-    if curve is not None and len(cs) > 1:
+    kept = []
+    for t in cands.tuples:
+        N = LPoly(cands.q, cands.g, t).order()
+        if jacobian_order_check(curve, N, trials, seed):
+            kept.append(t)
+    m = 2
+    while len(kept) > 1 and m <= 3 and curve.F.k * m <= 12:
+        ext = curve.base_extend(m, seed=seed)
+        still = []
+        for t in kept:
+            Nm = extend_lpoly(LPoly(cands.q, cands.g, t), m).order()
+            if Nm > 0 and jacobian_order_check(ext, Nm, trials, seed):
+                still.append(t)
+        kept = still
+        m += 1
+    if not kept:
+        raise NoCandidateSurvives("order checks eliminated every tuple")
+    return CandidateSet(cands.q, cands.g, kept)
+
+
+def _break_tie(cs, curve, transcript, trials, seed):
+    """Narrow the tuples of curve over its own field F_q.
+
+    Three tiebreakers in turn, cheapest conclusive first and none able
+    to drop the true tuple; each runs only while two or more tuples
+    remain, so a lone set passes untouched.  One point count on the
+    curve pins the trace exactly (skipped over budget).  Chi mod p
+    through the Cartier-Manin route pins the residue class, and runs
+    only over a prime field: over F_{p^k} it falls back to dense
+    polynomial products (skipped over budget too).  Last come the order
+    checks over F_q and small extensions.
+    """
+    q, g = cs.q, cs.g
+    if len(cs) > 1:
         try:
             N1 = count_points(curve, 1, seed=seed)
-            keep = [t for t in cs.tuples
-                    if q + 1 - LPoly(q, g, list(t)).power_sums(1)[0] == N1]
-            cs = _refilter(cs, keep, transcript, "trace screen")
         except BudgetExceeded:
             pass
-    if curve is not None and len(cs) > 1:
+        else:
+            keep = [t for t in cs.tuples
+                    if q + 1 - LPoly(q, g, t).power_sums(1)[0] == N1]
+            cs = _refilter(cs, keep, transcript, "trace screen")
+    if len(cs) > 1 and curve.F.k == 1:
         try:
             want = chi_mod_p(curve).coeffs
-            p = curve.F.p
-            keep = [t for t in cs.tuples
-                    if [c % p for c in LPoly(q, g, list(t)).chi_coeffs()]
-                    == want]
-            cs = _refilter(cs, keep, transcript, "chi mod p screen")
         except BudgetExceeded:
             pass
-    if curve is not None and len(cs) > 1:
+        else:
+            p = curve.F.p
+            keep = [t for t in cs.tuples
+                    if [c % p for c in LPoly(q, g, t).chi_coeffs()] == want]
+            cs = _refilter(cs, keep, transcript, "chi mod p screen")
+    if len(cs) > 1:
         before = len(cs)
         cs = _order_check_prune(cs, curve, trials, seed)
         if len(cs) < before:
             transcript.append(
                 f"extension order checks: {before} -> {len(cs)}")
+    return cs
+
+
+def _final_result(q, g, tuples, transcript, curve, trials, seed):
+    """Wrap surviving tuples over F_q, after one last Weil filter and
+    the tie-break ladder on curve."""
+    cs = weil_filter(CandidateSet(q, g, tuples))
+    if len(cs) < len(tuples):
+        transcript.append(f"final Weil filter: {len(tuples)} -> {len(cs)}")
+    cs = _break_tie(cs, curve, transcript, trials, seed)
     return CandidateSet(q, g, cs.tuples, transcript)
 
 
@@ -263,16 +305,6 @@ def _odd_flipped(a):
     return [-v if i % 2 == 0 else v for i, v in enumerate(a)]
 
 
-def _union(sets):
-    """The tuples of every CandidateSet in turn, first occurrence kept."""
-    out = []
-    for cs in sets:
-        for u in cs.tuples:
-            if u not in out:
-                out.append(u)
-    return out
-
-
 def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """chi of a family curve by splitting-field assembly plus descent.
 
@@ -285,12 +317,13 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     L_X1(T) when -1 is a square in F_q[sqrt(b)] and L_X1(-T) otherwise.
 
     Each descent step runs the degree-16 eliminant at g = 4 and the
-    real-Weil-polynomial route otherwise; whatever re-extends then faces
-    the Weil filter.  The top tuple is exact, every descender returns all
-    tuples that re-extend, and the Weil filter keeps the truth, so the
-    truth is always in the union of the survivors.  A union of one is
-    therefore the truth and is kept as it is; only a larger union faces
-    the order checks over the field it landed in, parent by parent.
+    real-Weil-polynomial route otherwise on every parent tuple; the
+    union of what re-extends faces the Weil filter and then the
+    tie-break ladder (_break_tie) on the curve over the field it landed
+    in.  The top tuple is exact, every descender returns all tuples that
+    re-extend, and no screen drops the truth, so a lone survivor is the
+    truth and passes the ladder untouched.  The last step lands on F_q,
+    so its ladder is the final one.
     """
     if not curve.is_family:
         raise ValueError("chi_generic needs the two-parameter family shape")
@@ -343,34 +376,23 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     n = K
     for kj in _prime_factorization(K):
         i = n // kj
-        # the Weil survivors of each parent; t drops out when nothing
-        # re-extends or the filter empties it
-        found = []
+        lifts = []
         for t in tuples:
-            lifted = descend(LPoly(F.q ** n, g, list(t)), kj, seed)
-            try:
-                found.append(weil_filter(CandidateSet(F.q ** i, g, lifted)))
-            except NoCandidateSurvives:
-                pass
-        S = _union(found)
-        if len(S) > 1:
-            # a union of one is the truth and needs no order check
-            target = curve.base_extend(i, seed=seed)
-            pruned = []
-            for cs in found:
-                try:
-                    pruned.append(
-                        _order_check_prune(cs, target, trials, seed))
-                except NoCandidateSurvives:
-                    pass
-            S = _union(pruned)
-        if not S:
+            for u in descend(LPoly(F.q ** n, g, list(t)), kj, seed):
+                if u not in lifts:
+                    lifts.append(u)
+        try:
+            cs = weil_filter(CandidateSet(F.q ** i, g, lifts))
+        except NoCandidateSurvives:
             raise NoCandidateSurvives(
-                f"descent from F_q^{n} to F_q^{i} eliminated every tuple")
-        transcript.append(f"descend by {kj}: {len(tuples)} -> {len(S)} candidates")
-        tuples, n = S, i
-    return _final_result(F.q, g, tuples, transcript,
-                         curve=curve, trials=trials, seed=seed)
+                f"descent from F_q^{n} to F_q^{i} eliminated every tuple"
+            ) from None
+        cs = _break_tie(cs, curve.base_extend(i, seed=seed), transcript,
+                        trials, seed)
+        transcript.append(
+            f"descend by {kj}: {len(tuples)} -> {len(cs)} candidates")
+        tuples, n = cs.tuples, i
+    return CandidateSet(F.q, g, tuples, transcript)
 
 
 # --- genus 3 through the elliptic quotient and Legendre traces ---
@@ -393,7 +415,7 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     all arithmetic stays over F_p: when sqrt(b) is not in F_p the
     F_{p^2} trace is read off a curve over F_p (_descended_t6).  The
     pool holds the truth, so one random-divisor order check settles it
-    unless a tie survives, which goes to _final_result's screens.
+    unless a tie survives, which goes to the tie-break ladder.
     """
     F = _coefficient_field(a, b)
     if F.k != 1:
@@ -426,8 +448,7 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         chiC = polys._int_poly_mul([p, -t2, 1],
                                    [p * p, -b1 * p, b2, -b1, 1])
         tuples.append((chiC[5], chiC[4], chiC[3]))
-    return _final_result(p, 3, tuples, transcript,
-                         curve=C, trials=trials, seed=seed)
+    return _final_result(p, 3, tuples, transcript, C, trials, seed)
 
 
 def _twist_unit_sum(F, u, e):

@@ -91,19 +91,6 @@ def curve_from_f(F, coeffs):
     return c
 
 
-def quadratic_twist(curve, d):
-    """Twist by d: substitute so that d*y^2 = f(x) is monic odd again."""
-    F = curve.F
-    d = _raw(F, d)
-    if d == F.zero:
-        raise ValueError("twist by zero")
-    n = 2 * curve.g + 1
-    f = [F.mul(c, F.pow(d, n - i)) for i, c in enumerate(curve.f)]
-    a = None if curve.a is None else F.mul(curve.a, F.pow(d, curve.g))
-    b = None if curve.b is None else F.mul(curve.b, F.pow(d, 2 * curve.g))
-    return CurveSpec(F, f, a=a, b=b)
-
-
 def count_points(curve, k=1, budget=None, seed=DEFAULT_SEED):
     """#C(F_{q^k}) by exhaustive enumeration."""
     if budget is None:

@@ -5,9 +5,9 @@ the inverse roots over F_{q^k} are their k-th powers, so the extended
 coefficients fall out of Newton's identities with no counting at all.
 Going down loses the individual roots, so each descender here returns
 a finite candidate list: the tuples that re-extend to its input
-exactly.  Pruning that list is the counting driver's job, with the
-screens kept here: coefficient bounds and the Hasse-Weil interval on
-L(1), then random order checks in the Jacobian.  Genus 4 has a
+exactly.  Pruning that list is the counting driver's job; the Weil
+bounds it starts with are kept here: coefficient bounds and the
+Hasse-Weil interval on L(1).  Genus 4 has a
 dedicated closed-form route (an even degree-16 elimination polynomial
 in a_1); the generic route goes through the real Weil polynomial, whose
 roots over the big field are Dickson-polynomial images of the roots
@@ -19,7 +19,7 @@ from math import comb, isqrt
 
 from . import polys
 from .config import DEFAULT_SEED
-from .curves import LPoly, jacobian_order_check, lpoly_from_counts
+from .curves import LPoly, lpoly_from_counts
 from .errors import AmbiguousResult, BudgetExceeded, NoCandidateSurvives
 from .fields import introot, make_prime_field, next_prime
 
@@ -133,36 +133,6 @@ def weil_filter(cands):
         kept.append(t)
     if not kept:
         raise NoCandidateSurvives("no tuple satisfies the Weil constraints")
-    return CandidateSet(cands.q, cands.g, kept)
-
-
-def _order_check_prune(cands, curve, trials, seed):
-    """Keep tuples whose predicted group order kills random divisors.
-
-    A wrong tuple survives base-field sampling whenever its order is a
-    multiple of the group exponent, and no number of trials changes
-    that.  So while several tuples remain, the same test reruns over
-    F_{q^2} and F_{q^3} (tower degree capped to keep the arithmetic
-    cheap), where the exponents differ; the true tuple is safe because
-    its extended order is the actual group order there.
-    """
-    kept = []
-    for t in cands.tuples:
-        N = LPoly(cands.q, cands.g, t).order()
-        if jacobian_order_check(curve, N, trials, seed):
-            kept.append(t)
-    m = 2
-    while len(kept) > 1 and m <= 3 and curve.F.k * m <= 12:
-        ext = curve.base_extend(m, seed=seed)
-        still = []
-        for t in kept:
-            Nm = extend_lpoly(LPoly(cands.q, cands.g, t), m).order()
-            if Nm > 0 and jacobian_order_check(ext, Nm, trials, seed):
-                still.append(t)
-        kept = still
-        m += 1
-    if not kept:
-        raise NoCandidateSurvives("order checks eliminated every tuple")
     return CandidateSet(cands.q, cands.g, kept)
 
 

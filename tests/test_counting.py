@@ -290,19 +290,44 @@ def test_lone_descent_survivor_skips_order_checks(monkeypatch):
         "descend by 2: 1 -> 1 candidates"]
 
 
-def test_descent_order_checks_a_union_of_two_or_more(monkeypatch):
-    # K = 4: the step to F_{q^2} keeps one tuple and runs no order
-    # check there; the step to F_q keeps two, and they are checked
+def test_descent_counts_points_on_a_union_of_two_or_more(monkeypatch):
+    # K = 4: the step to F_{q^2} keeps one tuple; the step to F_q keeps
+    # two, and one point count over F_q settles them before any order
+    # check could run
     calls = _spy_order_checks(monkeypatch)
     res = chi_generic(curve_from_ab(make_prime_field(1097), 2, 634, 371))
-    assert calls == [(2, 1)]
+    assert calls == []
     assert res.coefficients == (18, 162)
-    assert res.transcript == [
-        "quotients of the normal form over F_q^2: genus 1 and 1 counted",
-        "twist correction over the splitting field: odd coefficients flipped",
-        "splitting degree K = 4; L over F_q^4 assembled",
-        "descend by 2: 1 -> 1 candidates",
-        "descend by 2: 1 -> 1 candidates"]
+    last_descent = max(i for i, line in enumerate(res.transcript)
+                       if line.startswith("descend by 2"))
+    assert res.transcript.index("trace screen: 2 -> 1") < last_descent
+    assert res.transcript[-1] == "descend by 2: 1 -> 1 candidates"
+
+
+def test_tie_break_over_an_extension_field_skips_chi_mod_p(monkeypatch):
+    # over F_{7^2} with the count over budget, chi mod p (prime fields
+    # only) is passed over and the order checks drop the fake
+    C = curve_from_ab(make_prime_field(7), 2, 1, 4).base_extend(2)
+    true = zeta_oracle(C).a
+    fake = (true[0], true[1] + 1)   # order off by one from the truth
+
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded("count refused")
+
+    chi_calls = []
+
+    def spy_chi(curve):
+        chi_calls.append(curve)
+        return chi_mod_p(curve)
+
+    monkeypatch.setattr(counting, "count_points", over_budget)
+    monkeypatch.setattr(counting, "chi_mod_p", spy_chi)
+    transcript = []
+    cs = counting._break_tie(CandidateSet(49, 2, [true, fake]), C,
+                             transcript, 6, 42)
+    assert cs.tuples == [true]
+    assert chi_calls == []
+    assert transcript == ["extension order checks: 2 -> 1"]
 
 
 def test_chi_generic_rejects():

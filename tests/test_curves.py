@@ -10,7 +10,7 @@ from hypercount.curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                                jac_identity, jac_neg, jac_scalar_mul,
                                jacobian_order_check, jacobian_order_screen,
                                lpoly_from_counts, mumford_valid,
-                               quadratic_twist, random_divisor, zeta_oracle)
+                               random_divisor, zeta_oracle)
 from hypercount.enumeration import check_enumerable, count_curve_points
 from hypercount.errors import (BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus, InternalError,
@@ -160,26 +160,6 @@ def test_zeta_oracle_weil_bounds():
             for k in range(1, g + 1):
                 assert abs(s[k - 1]) <= 2 * g * math.isqrt(p ** k + 1) + 2
             assert L.order() > 0
-
-
-def test_quadratic_twist_square_is_isomorphic():
-    F = make_prime_field(11)
-    C = curve_from_ab(F, 2, 3, 4)
-    d = F.from_int(4)  # a square
-    assert zeta_oracle(quadratic_twist(C, d)) == zeta_oracle(C)
-
-
-def test_quadratic_twist_nonsquare_counts():
-    F = make_prime_field(11)
-    C = curve_from_ab(F, 2, 3, 4)
-    d = next(v for v in range(2, 11) if legendre_symbol(F, v) == -1)
-    T = quadratic_twist(C, d)
-    assert count_points(C, 1) + count_points(T, 1) == 2 * (11 + 1)
-    # family parameters transform by d^g and d^(2g)
-    assert T.a == F.mul(C.a, F.pow(d, 2))
-    assert T.b == F.mul(C.b, F.pow(d, 4))
-    with pytest.raises(ValueError):
-        quadratic_twist(C, 0)
 
 
 def test_base_extend_keeps_family():

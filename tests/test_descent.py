@@ -7,11 +7,12 @@ import pytest
 from hypercount import polys
 from hypercount.config import DEFAULT_SEED, DEFAULT_TRIALS
 from hypercount.curves import LPoly, curve_from_ab, zeta_oracle
+from hypercount.counting import _order_check_prune
 from hypercount.descent import (CandidateSet, _chi_from_real, _compose_int,
                                 _degree_g_products, _dickson_int, _factor_mod,
-                                _order_check_prune, _real_weil_poly,
-                                a1_elimination_coeffs, extend_lpoly,
-                                generic_descend, genus4_descend, weil_filter)
+                                _real_weil_poly, a1_elimination_coeffs,
+                                extend_lpoly, generic_descend, genus4_descend,
+                                weil_filter)
 from hypercount.errors import AmbiguousResult, NoCandidateSurvives
 from hypercount.fields import make_prime_field
 
