@@ -10,8 +10,7 @@ cross-checks all of it at desk scale.
 """
 
 from .cartier import (CMMatrix, ChiModP, chi_mod_p, chi_mod_p_table,
-                      cm_matrix_formula, cm_matrix_naive,
-                      permutation_structure, wp_product)
+                      cm_matrix_formula, cm_matrix_naive, wp_product)
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
 from .counting import (SKIPPED, TraceProvider, chi_generic, chi_genus3,
                        frobenius_trace, legendre_octic_congruence,
@@ -19,8 +18,8 @@ from .counting import (SKIPPED, TraceProvider, chi_generic, chi_genus3,
 from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,
                      jac_scalar_mul, jacobian_order_check,
-                     jacobian_order_screen, lpoly_from_counts, mumford_valid,
-                     random_divisor, zeta_oracle)
+                     jacobian_order_screen, lpoly_from_counts, random_divisor,
+                     zeta_oracle)
 from .decomp import (QuotientPair, decomposition_check, elliptic_quotient,
                      quotients_family, quotients_normalized, split_quotients,
                      splitting_field_degree, twist_curves)
@@ -31,8 +30,8 @@ from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                      MismatchDetected, NoCandidateSurvives, NotPrime,
                      NotPrimeField, RowNotApplicable, SingularCurve,
                      SingularSpecialization)
-from .fields import (FieldElement, embed, is_prime, legendre_symbol,
-                     make_extension, make_prime_field, next_prime, nth_root,
+from .fields import (FieldElement, embed, is_prime, make_extension,
+                     make_prime_field, next_prime, nth_root,
                      nth_root_field_degree, prime_factors, project)
 
 __version__ = "0.1.0"

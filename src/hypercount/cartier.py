@@ -18,9 +18,9 @@ import numpy as np
 from . import polys
 from .config import DEFAULT_SEED
 from .errors import (CharacteristicDividesGenus, BudgetExceeded,
-                     EvenCharacteristic, InternalError, NotPrime,
-                     NotPrimeField, RowNotApplicable, UnsupportedGenus)
-from .fields import FieldElement, embed, is_prime, make_extension, project
+                     InternalError, NotPrimeField, RowNotApplicable,
+                     UnsupportedGenus)
+from .fields import FieldElement, embed, make_extension, project
 
 # dense powering cap: slot count of the fully expanded f^((p-1)/2)
 _SLOT_CAP = 600_000
@@ -83,16 +83,6 @@ class ChiModP:
 
     def __repr__(self):
         return f"ChiModP(p={self.p}, g={self.g}, coeffs={self.coeffs})"
-
-    def to_json(self):
-        out = {"p": str(self.p), "g": self.g,
-               "coeffs": [str(c) for c in self.coeffs]}
-        if self.factors is not None:
-            out["factors"] = [
-                {"degree": d, "constant": [str(v) for v in
-                                           c.desc.digits(c.rep)]}
-                for d, c in self.factors]
-        return out
 
 
 def _pow_coeffs_prime(F, f, e):
@@ -422,35 +412,3 @@ def chi_mod_p_table(g, curve, seed=None):
         coeffs.append(int(x))
     return ChiModP(p, g, coeffs, factors=factors)
 
-
-def permutation_structure(g, p, n=1):
-    """Cycles of i -> i p^n - (p^n - 1)/2 on residues mod g.
-
-    The nonzero entries of W_p sit at (i, sigma(i)), so the cycle
-    lengths are exactly the factor degrees in the factored chi mod p.
-    Residues are represented by 1..g.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        raise EvenCharacteristic("p must be odd")
-    if g % p == 0:
-        raise CharacteristicDividesGenus(f"p = {p} divides g = {g}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    shift = (p ** n - 1) // 2
-    sigma = {i: (i * p ** n - shift - 1) % g + 1 for i in range(1, g + 1)}
-    seen = set()
-    cycles = []
-    for start in range(1, g + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = sigma[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = sigma[nxt]
-        cycles.append(tuple(cyc))
-    return cycles

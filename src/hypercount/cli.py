@@ -86,16 +86,29 @@ def _apply_budget(args):
     default_budget()  # validates the env value early
 
 
+def _check_counts(args):
+    """Repetition counts below 1 would run nothing and report success."""
+    for key in ("trials", "trials_per_row", "count"):
+        val = getattr(args, key, None)
+        if val is not None and val < 1:
+            flag = key.replace("_", "-")
+            raise ValueError(f"--{flag} must be >= 1, got {val}")
+
+
 def _load_curve_json(args):
     """Fill missing curve flags from --curve-json; explicit flags win."""
     if not getattr(args, "curve_json", None):
         return
     with open(args.curve_json) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("--curve-json must hold a JSON object")
     for key in ("p", "genus", "a", "b"):
         if getattr(args, key, None) is None and key in data:
             setattr(args, key, _int(data[key]))
     if getattr(args, "f", None) is None and "f" in data:
+        if not isinstance(data["f"], list):
+            raise ValueError('"f" in --curve-json must be a list')
         args.f = ",".join(str(v) for v in data["f"])
 
 
@@ -521,6 +534,7 @@ def main(argv=None):
     prior = os.environ.get(BUDGET_ENV)
     try:
         _apply_budget(args)
+        _check_counts(args)
         code, payload = globals()[args.handler](args)
     except BudgetExceeded as e:
         code, payload = EXIT_BUDGET, {"error": "BudgetExceeded",

@@ -212,20 +212,6 @@ def is_identity(D):
     return polys.degree(u) == 0 and not v
 
 
-def mumford_valid(curve, D):
-    """Representation invariants: u monic, deg v < deg u <= g, u | v^2 - f."""
-    F = curve.F
-    u, v = D
-    if not u or u[-1] != F.one:
-        return False
-    if polys.degree(u) > curve.g:
-        return False
-    if polys.degree(v) >= polys.degree(u):
-        return False
-    t = polys.sub(F, polys.mul(F, v, v), curve.f)
-    return not polys.rem(F, t, u)
-
-
 def jac_neg(curve, D):
     F = curve.F
     u, v = D

@@ -7,14 +7,15 @@ Going down loses the individual roots, so each descender here returns
 a finite candidate list: the tuples that re-extend to its input
 exactly.  Pruning that list is the counting driver's job; the Weil
 bounds it starts with are kept here: coefficient bounds and the
-Hasse-Weil interval on L(1).  Genus 4 has a
-dedicated closed-form route (an even degree-16 elimination polynomial
-in a_1); the generic route goes through the real Weil polynomial, whose
-roots over the big field are Dickson-polynomial images of the roots
-below.
+Hasse-Weil interval on L(1).  Both descenders work mod an auxiliary
+prime l and split polynomials there with polys.  Genus 4 has a
+closed-form route: a_1 is among the roots (polys.roots_in_field) of an
+even degree-16 elimination polynomial.  The generic route factors
+(polys.factor) the big field's real Weil polynomial composed with a
+Dickson polynomial; the real Weil polynomial below is among the
+degree-g divisors.
 """
 
-import random
 from math import comb, isqrt
 
 from . import polys
@@ -87,15 +88,6 @@ class CandidateSet:
 
     def order(self):
         return self.lpoly().order()
-
-    def to_json(self):
-        return {
-            "q": str(self.q),
-            "g": self.g,
-            "status": self.status,
-            "candidates": [[str(v) for v in t] for t in self.tuples],
-            "transcript": list(self.transcript),
-        }
 
     def __repr__(self):
         return (f"CandidateSet(q={self.q}, g={self.g}, {self.status}, "
@@ -230,7 +222,7 @@ def genus4_descend(Lnk, kj, seed=DEFAULT_SEED):
         poly[2 * i] = Fl.coerce(c)
     poly[16] = Fl.one
     a1s = set()
-    for r in polys.roots_in_prime_field(Fl, poly, seed=seed):
+    for r in polys.roots_in_field(Fl, poly, seed=seed):
         v = r if 2 * r <= l else r - l
         if v != 0 and v * v <= 64 * q:
             a1s.add(v)
@@ -320,65 +312,6 @@ def _chi_from_real(h, q):
     return c
 
 
-def _ddf(F, f):
-    """Distinct-degree split of monic squarefree f: list of (prod, d)."""
-    out = []
-    v = f
-    xq = polys.x_poly(F)
-    d = 0
-    while polys.degree(v) > 0:
-        d += 1
-        if 2 * d > polys.degree(v):
-            out.append((v, polys.degree(v)))
-            break
-        xq = polys.powmod(F, xq, F.q, v)
-        g = polys.gcd_poly(F, polys.sub(F, xq, polys.x_poly(F)), v)
-        if polys.degree(g) > 0:
-            out.append((g, d))
-            v = polys.quo(F, v, g)
-            xq = polys.rem(F, xq, v)
-    return out
-
-
-def _edf(F, f, d, rng):
-    """Equal-degree split into irreducibles of degree d (odd q)."""
-    n = polys.degree(f)
-    if n == d:
-        return [polys.monic(F, f)]
-    e = (F.q ** d - 1) // 2
-    while True:
-        r = polys.trim(F, [F.coerce(rng.randrange(F.q)) for _ in range(n)])
-        if polys.degree(r) < 1:
-            continue
-        s = polys.powmod(F, r, e, f)
-        g = polys.gcd_poly(F, polys.sub(F, s, [F.one]), f)
-        if 0 < polys.degree(g) < n:
-            return (_edf(F, g, d, rng)
-                    + _edf(F, polys.quo(F, f, g), d, rng))
-
-
-def _factor_mod(F, f, seed):
-    """Monic irreducible factors with multiplicity: list of (poly, m).
-
-    Only needed here, on polynomials of modest degree over big prime
-    fields (char far above the degree, so derivatives behave).
-    """
-    f = polys.monic(F, f)
-    rng = random.Random(repr((seed, "factor", F.p, polys.degree(f))))
-    sf = polys.quo(F, f, polys.gcd_poly(F, f, polys.derivative(F, f)))
-    out = []
-    for prod, d in _ddf(F, sf):
-        for irr in _edf(F, prod, d, rng):
-            m, t = 0, f
-            while True:
-                qq, rr = polys.divmod_poly(F, t, irr)
-                if rr:
-                    break
-                t, m = qq, m + 1
-            out.append((irr, m))
-    return out
-
-
 def _degree_g_products(F, factors, g, cap):
     """All monic degree-g products of the given factors, respecting
     multiplicities.  Returns None when the DFS budget runs out."""
@@ -442,7 +375,7 @@ def generic_descend(Lnk, kj, seed=DEFAULT_SEED):
     for attempt in range(_PRIME_RETRIES):
         Fl = make_prime_field(l)
         Hl = [Fl.coerce(c) for c in H]
-        divisors = _degree_g_products(Fl, _factor_mod(Fl, Hl, seed), g,
+        divisors = _degree_g_products(Fl, polys.factor(Fl, Hl, seed), g,
                                       _ENUM_CAP)
         if divisors is None:
             l = next_prime(l)

@@ -13,7 +13,7 @@ import random
 from . import polys
 from .config import DEFAULT_SEED
 from .errors import (DivisionByZero, EvenCharacteristic, InternalError,
-                     NoRootInField, NotPrime, NotPrimeField, ZeroRadicand)
+                     NoRootInField, NotPrime, ZeroRadicand)
 
 # The first 13 primes as Miller-Rabin witnesses decide primality for every
 # n below this bound (Sorenson and Webster, Math. Comp. 2017); above it
@@ -434,33 +434,12 @@ class ExtensionField(FieldDesc):
         return roots[0]
 
 
-def _is_irreducible(pf, f):
-    """Rabin test for a monic polynomial over the prime field."""
-    deg = polys.degree(f)
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    x = polys.x_poly(pf)
-    h = x
-    for _ in range(deg):
-        h = polys.powmod(pf, h, pf.p, f)
-    if h != x:
-        return False
-    for r in prime_factors(deg):
-        h = x
-        for _ in range(deg // r):
-            h = polys.powmod(pf, h, pf.p, f)
-        if polys.degree(polys.gcd_poly(pf, polys.sub(pf, h, x), f)) != 0:
-            return False
-    return True
-
-
 def _find_irreducible(pf, deg, seed):
     rng = random.Random(repr((seed, "modulus", pf.p, deg)))
     while True:
         coeffs = [rng.randrange(pf.p) for _ in range(deg)] + [1]
-        if _is_irreducible(pf, coeffs):
+        # irreducible exactly when no factor of degree < deg splits off
+        if polys.ddf(pf, coeffs) == [(coeffs, deg)]:
             return tuple(coeffs)
 
 
@@ -615,12 +594,3 @@ def nth_root(F, b, m, target):
     if not roots:
         raise NoRootInField(f"x^{m} = {b!r} has no root in {target!r}")
     return roots[0]
-
-
-def legendre_symbol(F, a):
-    if F.k != 1:
-        raise NotPrimeField("Legendre symbol is defined over prime fields")
-    if isinstance(a, FieldElement):
-        a = a.rep
-    return F.legendre(a % F.p)
-

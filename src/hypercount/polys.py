@@ -76,7 +76,9 @@ def divmod_poly(F, f, g):
         raise DivisionByZero("polynomial division by zero")
     f = trim(F, f)
     dg = degree(g)
-    inv_lc = F.inv(g[-1])
+    # powmod and rem divide by monic moduli; skip inverting their leading
+    # 1, which over F_{p^k} costs a full xgcd
+    inv_lc = F.one if g[-1] == F.one else F.inv(g[-1])
     q = [F.zero] * max(len(f) - dg, 0)
     r = list(f)
     while degree(r) >= dg:
@@ -168,24 +170,67 @@ def powmod(F, f, e, h):
     return result
 
 
-def _split_linear(F, f, rng):
-    """Split a product of distinct linear factors into roots (odd q)."""
-    f = monic(F, f)
-    d = degree(f)
-    if d == 0:
-        return []
-    if d == 1:
-        return [F.neg(f[0])]
-    half = (F.q - 1) // 2
+def ddf(F, f):
+    """Distinct-degree split of monic squarefree f: list of (prod, d),
+    prod the product of f's irreducible factors of degree d."""
+    out = []
+    v = f
+    xq = x_poly(F)
+    d = 0
+    while degree(v) > 0:
+        d += 1
+        if 2 * d > degree(v):
+            out.append((v, degree(v)))
+            break
+        xq = powmod(F, xq, F.q, v)
+        g = gcd_poly(F, sub(F, xq, x_poly(F)), v)
+        if degree(g) > 0:
+            out.append((g, d))
+            v = quo(F, v, g)
+            xq = rem(F, xq, v)
+    return out
+
+
+def edf(F, f, d, rng):
+    """Equal-degree split of monic f, a product of distinct irreducibles
+    of degree d, into those irreducibles (Cantor-Zassenhaus, odd q)."""
+    n = degree(f)
+    if n == d:
+        return [f]
+    e = (F.q ** d - 1) // 2
     for _ in range(200):
-        delta = F.rand(rng)
-        s = powmod(F, [delta, F.one], half, f)
-        s = sub(F, s, [F.one])
-        d1 = gcd_poly(F, s, f)
-        if 0 < degree(d1) < d:
-            d2 = quo(F, f, d1)
-            return _split_linear(F, d1, rng) + _split_linear(F, d2, rng)
+        r = trim(F, [F.rand(rng) for _ in range(n)])
+        if degree(r) < 1:
+            continue
+        s = powmod(F, r, e, f)
+        g = gcd_poly(F, sub(F, s, [F.one]), f)
+        if 0 < degree(g) < n:
+            return edf(F, g, d, rng) + edf(F, quo(F, f, g), d, rng)
     raise InternalError("equal-degree splitting failed to converge")
+
+
+def factor(F, f, seed=DEFAULT_SEED):
+    """Monic irreducible factors of f with multiplicity: list of (poly, m).
+
+    The squarefree part is f / gcd(f, f'), which loses factors whose
+    multiplicity the characteristic divides; deg f < p rules that out.
+    """
+    f = monic(F, f)
+    if degree(f) >= F.p:
+        raise ValueError("factor needs deg f below the characteristic")
+    rng = random.Random(repr((seed, "factor", F.p, degree(f))))
+    sf = quo(F, f, gcd_poly(F, f, derivative(F, f)))
+    out = []
+    for prod, d in ddf(F, sf):
+        for irr in edf(F, prod, d, rng):
+            m, t = 0, f
+            while True:
+                qq, rr = divmod_poly(F, t, irr)
+                if rr:
+                    break
+                t, m = qq, m + 1
+            out.append((irr, m))
+    return out
 
 
 def roots_in_field(F, f, seed=DEFAULT_SEED):
@@ -201,15 +246,8 @@ def roots_in_field(F, f, seed=DEFAULT_SEED):
     if degree(lin) == 0:
         return []
     rng = random.Random(repr((seed, "edf", F.p, F.k, degree(f))))
-    roots = _split_linear(F, lin, rng)
+    roots = [F.neg(h[0]) for h in edf(F, lin, 1, rng)]
     return sorted(roots, key=F.sort_key)
-
-
-def roots_in_prime_field(F, f, seed=DEFAULT_SEED):
-    """Distinct roots over a prime field, ascending integer order."""
-    if F.k != 1:
-        raise ValueError("prime field expected")
-    return roots_in_field(F, f, seed=seed)
 
 
 def dickson(F, n, alpha):

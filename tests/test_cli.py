@@ -334,6 +334,26 @@ def test_curve_json_input(tmp_path):
     assert code == 0 and got == want
 
 
+def test_curve_json_of_the_wrong_shape_is_bad_input(tmp_path):
+    spec = tmp_path / "curve.json"
+    for argv, data in ((["count"], 5),
+                       (["zeta-oracle"], {"p": 7, "f": 5})):
+        spec.write_text(json.dumps(data))
+        code, out, _ = _run(argv + ["--curve-json", str(spec)])
+        assert code == 1 and out["error"] == "ValueError", data
+
+
+def test_counts_below_one_are_bad_input():
+    for argv in (["count", "--p", "7", "--genus", "2", "--a", "1", "--b", "1",
+                  "--trials", "0"],
+                 ["verify-table", "--trials-per-row", "-1"],
+                 ["verify-congruences", "--which", "octic", "--p", "17",
+                  "--count", "-1"]):
+        code, out, _ = _run(argv)
+        assert code == 1 and out["error"] == "ValueError", argv
+        assert "must be >= 1" in out["detail"]
+
+
 def test_out_file_mirrors_stdout(tmp_path):
     dest = tmp_path / "result.json"
     code, out, _ = _run(WORKED + ["--out", str(dest)])

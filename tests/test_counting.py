@@ -18,8 +18,7 @@ from hypercount.errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus,
                                NoCandidateSurvives, NotPrimeField,
                                SingularSpecialization)
-from hypercount.fields import (embed, legendre_symbol, make_extension,
-                               make_prime_field)
+from hypercount.fields import embed, make_extension, make_prime_field
 
 
 def test_trace_provider_validation():
@@ -65,8 +64,7 @@ def test_chi_result_plumbing():
     r = CandidateSet(13, 3, [(0, 36, -2)], ["counted"])
     assert r.status == "unique" and r.coefficients == (0, 36, -2)
     assert r.order() == r.lpoly().order()
-    assert r.to_json()["candidates"] == [["0", "36", "-2"]]
-    assert r.to_json()["transcript"] == ["counted"]
+    assert r.transcript == ["counted"]
     multi = CandidateSet(13, 3, [(0, 36, -2), (1, 2, 3)])
     assert multi.status == "ambiguous" and len(multi) == 2
     with pytest.raises(AmbiguousResult):
@@ -92,7 +90,7 @@ def test_chi_genus3_matches_oracle_both_branches():
         seen = set()
         while seen != {1, -1}:
             a, b = rng.randrange(p), rng.randrange(1, p)
-            if (a * a - 4 * b) % p == 0 or legendre_symbol(F, b) in seen:
+            if (a * a - 4 * b) % p == 0 or F.legendre(b) in seen:
                 continue
             want = zeta_oracle(curve_from_ab(F, 3, a, b))
             res = chi_genus3(F.el(a), F.el(b))
@@ -100,9 +98,9 @@ def test_chi_genus3_matches_oracle_both_branches():
                 assert res.coefficients == want.a
             else:
                 assert want.a in res.tuples
-            seen.add(legendre_symbol(F, b))
+            seen.add(F.legendre(b))
         # a = 0 with b a nonsquare takes the descended trace's own branch
-        b = next(v for v in range(2, p) if legendre_symbol(F, v) == -1)
+        b = next(v for v in range(2, p) if F.legendre(v) == -1)
         want = zeta_oracle(curve_from_ab(F, 3, 0, b))
         for method in ("naive_count", "bsgs"):
             res = chi_genus3(F.el(0), F.el(b), provider=TraceProvider(method))
@@ -119,7 +117,7 @@ def test_chi_a_pool_holds_the_oracle_chi_a():
         F = make_prime_field(p)
         cases = []
         for cls in (1, -1):
-            bs = [v for v in range(1, p) if legendre_symbol(F, v) == cls]
+            bs = [v for v in range(1, p) if F.legendre(v) == cls]
             cases.append((0, bs[0]))
             while len(cases) % 3:
                 a, b = rng.randrange(1, p), rng.choice(bs)
@@ -170,7 +168,7 @@ def test_descended_t6_matches_count_over_quadratic_extension():
         F = make_prime_field(p)
         K = make_extension(F, 2)
         for b in range(1, p):
-            if legendre_symbol(F, b) != -1:
+            if F.legendre(b) != -1:
                 continue
             sb = K.sqrt(embed(b, F, K))
             for a in range(p):
@@ -189,7 +187,7 @@ def test_chi_genus3_at_42_bits(b):
     p = 4398046511233
     a = 4231746819984
     F = make_prime_field(p)
-    assert legendre_symbol(F, b) == (1 if b == 4 else -1)
+    assert F.legendre(b) == (1 if b == 4 else -1)
     provider = TraceProvider("bsgs")
     res = chi_genus3(F.el(a), F.el(b), provider=provider)
     assert res.status == "unique"

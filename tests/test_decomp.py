@@ -12,7 +12,7 @@ from hypercount.decomp import (decomposition_check, elliptic_quotient,
                                twist_curves)
 from hypercount.errors import (BadGenus, CharacteristicDividesGenus,
                                EvenGenus, SingularCurve)
-from hypercount.fields import legendre_symbol, make_extension, make_prime_field
+from hypercount.fields import make_extension, make_prime_field
 
 
 def test_quotient_genera_add_up():
@@ -53,8 +53,8 @@ def test_quotients_family_alpha_one_is_normal_form():
 
 def test_quotients_family_even_genus_extension():
     F = make_prime_field(11)
-    sq = next(v for v in range(2, 11) if legendre_symbol(F, v) == 1)
-    ns = next(v for v in range(2, 11) if legendre_symbol(F, v) == -1)
+    sq = next(v for v in range(2, 11) if F.legendre(v) == 1)
+    ns = next(v for v in range(2, 11) if F.legendre(v) == -1)
     pair = quotients_family(F, 2, 1, sq)
     assert not pair.extended and pair.defined_over is F
     pair = quotients_family(F, 2, 1, ns)
@@ -69,7 +69,7 @@ def test_twist_curves_both_square_classes():
         F, 2, F.div(F.from_int(1), F.sqrt(F.from_int(4))))
     got = {tuple(pair.X1.f), tuple(pair.X2.f)}
     assert got == {tuple(want.X1.f), tuple(want.X2.f)}
-    ns = next(v for v in range(2, 13) if legendre_symbol(F, v) == -1)
+    ns = next(v for v in range(2, 13) if F.legendre(v) == -1)
     pair = twist_curves(F, 2, 1, ns)
     assert pair.extended and pair.defined_over.q == 169
 

@@ -9,7 +9,7 @@ from hypercount.config import DEFAULT_SEED, DEFAULT_TRIALS
 from hypercount.curves import LPoly, curve_from_ab, zeta_oracle
 from hypercount.counting import _order_check_prune
 from hypercount.descent import (CandidateSet, _chi_from_real, _compose_int,
-                                _degree_g_products, _dickson_int, _factor_mod,
+                                _degree_g_products, _dickson_int,
                                 _real_weil_poly, a1_elimination_coeffs,
                                 extend_lpoly, generic_descend, genus4_descend,
                                 weil_filter)
@@ -77,8 +77,6 @@ def test_order_check_prune_kills_off_by_one():
 def test_candidate_set_plumbing():
     cs = CandidateSet(49, 2, [(1, 2), (3, 4)])
     assert len(cs) == 2 and cs.status == "ambiguous"
-    j = cs.to_json()
-    assert j["candidates"] == [["1", "2"], ["3", "4"]]
     assert CandidateSet(49, 2, [(1, 2)]).status == "unique"
     with pytest.raises(NoCandidateSurvives):
         CandidateSet(49, 2, [])
@@ -176,7 +174,7 @@ def test_factor_mod_and_products():
     F = make_prime_field(103)  # -1 is a nonsquare, so x^2 + 1 stays prime
     f = polys.mul(F, [1, 0, 1], polys.mul(F, [3, 1], polys.mul(F, [3, 1],
                                                                [5, 1])))
-    factors = _factor_mod(F, f, seed=42)
+    factors = polys.factor(F, f, seed=42)
     assert sorted((polys.degree(irr), m) for irr, m in factors) == \
         [(1, 1), (1, 2), (2, 1)]
     rebuilt = [F.one]
@@ -184,6 +182,8 @@ def test_factor_mod_and_products():
         for _ in range(m):
             rebuilt = polys.mul(F, rebuilt, irr)
     assert rebuilt == f
+    with pytest.raises(ValueError):
+        polys.factor(make_prime_field(7), [1] * 8)  # degree 7 = p
     prods = _degree_g_products(F, factors, 2, 10_000)
     assert len(prods) == 3 and all(polys.degree(t) == 2 for t in prods)
     assert _degree_g_products(F, factors, 2, 1) is None

@@ -1,13 +1,22 @@
-"""Polynomial arithmetic, roots, Dickson and Legendre families."""
+"""Polynomial arithmetic, factoring and roots, Dickson and Legendre
+families."""
 
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercount import polys
-from hypercount.errors import DivisionByZero, IndexTooLargeForCharacteristic
-from hypercount.fields import make_extension, make_prime_field
+from hypercount.errors import (DivisionByZero, IndexTooLargeForCharacteristic,
+                               InternalError)
+from hypercount.fields import make_extension, make_prime_field, prime_factors
+
+# small fields, so every element can be tried: F_p and F_{p^2}
+FIELDS = [make_prime_field(7), make_prime_field(13),
+          make_extension(make_prime_field(5), 2),
+          make_extension(make_prime_field(7), 2)]
 
 
 def _p(F, *ints):
@@ -48,15 +57,15 @@ def test_xgcd_identity():
 
 def test_roots_in_prime_field():
     F = make_prime_field(7)
-    assert polys.roots_in_prime_field(F, _p(F, -1, 0, 1)) == [1, 6]
-    assert polys.roots_in_prime_field(F, _p(F, 1, 0, 1)) == []
+    assert polys.roots_in_field(F, _p(F, -1, 0, 1)) == [1, 6]
+    assert polys.roots_in_field(F, _p(F, 1, 0, 1)) == []
     # construct-then-solve with a repeated factor thrown in
     F101 = make_prime_field(101)
     want = [3, 17, 44, 90]
     f = [F101.one]
     for r in want + [17]:
         f = polys.mul(F101, f, _p(F101, -r, 1))
-    assert polys.roots_in_prime_field(F101, f) == want
+    assert polys.roots_in_field(F101, f) == want
 
 
 def test_roots_in_extension_field():
@@ -153,3 +162,120 @@ def test_squarefree_and_derivative():
 def test_int_poly_mul():
     assert polys._int_poly_mul([1, 2], [3, 4]) == [3, 10, 8]
     assert polys._int_poly_mul([7, -1, 1], [7, -1, 1]) == [49, -14, 15, -2, 1]
+
+
+def _element(F, n):
+    """The element of F whose base-p digits are those of n."""
+    return F.from_digits([n // F.p ** i % F.p for i in range(F.k)])
+
+
+@st.composite
+def field_and_polys(draw, count, monic=False):
+    """A field from FIELDS and `count` polynomials of degree below its
+    characteristic (at most 6); monic ones have degree >= 1."""
+    F = draw(st.sampled_from(FIELDS))
+    top = min(F.p - 1, 6)
+    out = []
+    for _ in range(count):
+        ns = draw(st.lists(st.integers(0, F.q - 1),
+                           min_size=1 if monic else 0, max_size=top))
+        f = [_element(F, n) for n in ns]
+        out.append(f + [F.one] if monic else polys.trim(F, f))
+    return (F, *out)
+
+
+def _rabin_irreducible(F, f):
+    """Rabin's test for monic f: f | x^(q^n) - x and, for every prime r
+    dividing n = deg f, gcd(x^(q^(n/r)) - x, f) = 1."""
+    n = polys.degree(f)
+    if n <= 0:
+        return False
+    x = polys.x_poly(F)
+
+    def frob_power(m):
+        h = x
+        for _ in range(m):
+            h = polys.powmod(F, h, F.q, f)
+        return h
+
+    if polys.rem(F, frob_power(n), f) != polys.rem(F, x, f):
+        return False
+    return all(polys.degree(polys.gcd_poly(
+        F, polys.sub(F, frob_power(n // r), x), f)) == 0
+        for r in prime_factors(n))
+
+
+@settings(max_examples=60)
+@given(field_and_polys(2))
+def test_factor_rebuilds_monic_f(case):
+    F, f, h = case
+    # f h^2, for repeated factors, while its degree stays below p
+    fh2 = polys.mul(F, f, polys.mul(F, h, h))
+    if fh2 and polys.degree(fh2) < F.p:
+        f = fh2
+    if not f:
+        return
+    factors = polys.factor(F, f)
+    rebuilt = [F.one]
+    for irr, m in factors:
+        assert _rabin_irreducible(F, irr) and m >= 1
+        for _ in range(m):
+            rebuilt = polys.mul(F, rebuilt, irr)
+    assert rebuilt == polys.monic(F, f)
+    assert len({tuple(irr) for irr, _ in factors}) == len(factors)
+
+
+@settings(max_examples=60)
+@given(field_and_polys(1, monic=True))
+def test_ddf_irreducibility_matches_rabin(case):
+    F, f = case
+    assert (polys.ddf(F, f) == [(f, polys.degree(f))]) == \
+        _rabin_irreducible(F, f)
+
+
+@settings(max_examples=40)
+@given(field_and_polys(1))
+def test_roots_in_field_match_evaluation(case):
+    F, f = case
+    if polys.degree(f) < 1:
+        return
+    want = [x for x in (_element(F, n) for n in range(F.q))
+            if polys.evaluate(F, f, x) == F.zero]
+    assert polys.roots_in_field(F, f) == sorted(want, key=F.sort_key)
+
+
+@settings(max_examples=60)
+@given(field_and_polys(2), st.booleans())
+def test_divmod_identity(case, make_monic):
+    F, f, g = case
+    if not g:
+        return
+    if make_monic:
+        g = polys.monic(F, g)
+    q, r = polys.divmod_poly(F, f, g)
+    assert polys.add(F, polys.mul(F, q, g), r) == f
+    assert polys.degree(r) < polys.degree(g)
+
+
+@settings(max_examples=60)
+@given(field_and_polys(2))
+def test_xgcd_bezout_and_divides(case):
+    F, f, g = case
+    if not f and not g:
+        return
+    d, u, v = polys.xgcd_poly(F, f, g)
+    assert polys.add(F, polys.mul(F, u, f), polys.mul(F, v, g)) == d
+    assert d[-1] == F.one
+    assert not polys.rem(F, f, d) and not polys.rem(F, g, d)
+
+
+class _StuckAtZero:
+    def randrange(self, n):
+        return 0
+
+
+def test_edf_gives_up_instead_of_looping():
+    F = make_prime_field(7)
+    f = polys.mul(F, _p(F, -1, 1), _p(F, -2, 1))
+    with pytest.raises(InternalError):
+        polys.edf(F, f, 1, _StuckAtZero())
