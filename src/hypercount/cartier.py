@@ -10,8 +10,23 @@ characteristic polynomial of Frobenius modulo p:
 For the two-parameter family y^2 = x^(2g+1) + a x^(g+1) + b x the
 matrix is a generalized permutation matrix whose nonzero entries are
 Legendre polynomials evaluated at -a/(2 sqrt(b)), which is what the
-closed-form path and the genus 2..7 factored table implement.
+closed-form path and the genus 2..7 factored table implement.  Both
+work with the homogeneous form H_s(X, B) = B^(s/2) P_s(X / sqrt(B)),
+a polynomial in X and B, through
+
+    sqrt(b)^s P_s(-a / (2 sqrt(b))) = H_s(-a/2, b),
+
+so every Legendre value is computed in the curve's own field; only the
+table's reported factor constants may need sqrt(b) in F_{p^2}.
+
+The naive path writes f = x^r h(x^d), d the gcd of the gaps between
+the exponents of f (d = g for the family, 2g when a = 0, 1 for a
+generic curve), and expands only h^((p-1)/2), which has d-fold fewer
+coefficients.  Its budget, _SLOT_CAP, still counts the coefficients of
+the full f^((p-1)/2): (2g+1)(p-1)/2 + 1.
 """
+
+import math
 
 import numpy as np
 
@@ -88,20 +103,27 @@ class ChiModP:
 def _pow_coeffs_prime(F, f, e):
     """Coefficients of f^e over a prime field by packed squaring.
 
-    Coefficients ride in 64-bit slots of one big integer, so each
+    Coefficients ride in fixed-width slots of one big integer, so each
     polynomial product is a single big-int multiply; slots are unpacked
-    and reduced mod p after every step.  Needs slots * p^2 < 2^63.
+    and reduced mod p after every step.  A slot holds a sum of up to
+    deg(f^e) + 1 products of residues, in as few whole bytes as that
+    takes; at most 8 are allowed.
     """
     p = F.p
+    terms = (len(f) - 1) * e + 1
+    width = ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+    if width > 8:
+        raise BudgetExceeded("coefficients would overflow 64-bit slots")
 
     def pack(coeffs):
-        arr = np.array(coeffs, dtype="<u8")
-        return int.from_bytes(arr.tobytes(), "little")
+        arr = np.asarray(coeffs, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return int.from_bytes(arr[:, :width].tobytes(), "little")
 
     def unpack(v, slots):
-        raw = v.to_bytes(8 * slots, "little")
-        arr = np.frombuffer(raw, dtype="<u8") % p
-        return arr
+        raw = np.frombuffer(v.to_bytes(width * slots, "little"), np.uint8)
+        arr = np.zeros((slots, 8), dtype=np.uint8)
+        arr[:, :width] = raw.reshape(slots, width)
+        return arr.view("<u8").ravel() % p
 
     base = np.array(f, dtype="<u8")
     dbase = len(f) - 1
@@ -120,10 +142,24 @@ def _pow_coeffs_prime(F, f, e):
     return acc
 
 
-def cm_matrix_naive(curve):
-    """W = (c_{ip-j}) straight from expanding f^((p-1)/2).
+def _sparse_form(F, f):
+    """(r, d, h) with f = x^r h(x^d): r the lowest exponent of f, d the
+    gcd of the gaps between its exponents."""
+    exps = [i for i, c in enumerate(f) if c != F.zero]
+    r = exps[0]
+    d = 0
+    for e in exps[1:]:
+        d = math.gcd(d, e - r)
+    d = d or 1
+    return r, d, f[r::d]
 
-    Works for any curve; the expansion is budget-guarded since its
+
+def cm_matrix_naive(curve):
+    """W = (c_{ip-j}) straight from expanding f^m, m = (p-1)/2.
+
+    Works for any curve.  Writing f = x^r h(x^d), only h^m is expanded,
+    which has d-fold fewer coefficients; c_n is read off index
+    (n - r m) / d.  The budget is the slot count of the full f^m, whose
     degree grows linearly in p (intended range p < 10^4).
     """
     F = curve.F
@@ -134,27 +170,29 @@ def cm_matrix_naive(curve):
     if slots > _SLOT_CAP:
         raise BudgetExceeded(
             f"f^((p-1)/2) has {slots} coefficients, cap is {_SLOT_CAP}")
+    r, d, h = _sparse_form(F, curve.f)
     if m == 0:
-        fm = [F.one]
+        hm = [F.one]
     elif F.k == 1:
         if slots * p * p >= 1 << 63:
             raise BudgetExceeded("coefficients would overflow 64-bit slots")
-        fm = _pow_coeffs_prime(F, curve.f, m)
+        hm = _pow_coeffs_prime(F, h, m)
     else:
         acc = None
         for bit in bin(m)[2:]:
             if acc is None:
-                acc = curve.f if bit == "1" else [F.one]
+                acc = h if bit == "1" else [F.one]
                 continue
             acc = polys.mul(F, acc, acc)
             if bit == "1":
-                acc = polys.mul(F, acc, curve.f)
-        fm = acc
+                acc = polys.mul(F, acc, h)
+        hm = acc
 
     def coeff(n):
-        if n < 0 or n >= len(fm):
+        t, rest = divmod(n - r * m, d)
+        if rest or t < 0 or t >= len(hm):
             return F.zero
-        return F.coerce(int(fm[n])) if F.k == 1 else fm[n]
+        return F.coerce(int(hm[t])) if F.k == 1 else hm[t]
 
     entries = [[coeff(i * p - j) for j in range(1, g + 1)]
                for i in range(1, g + 1)]
@@ -162,30 +200,40 @@ def cm_matrix_naive(curve):
 
 
 def _sqrt_tower(F, b, seed):
-    """(field K, sqrt of b in K): K is F itself when b is a square."""
+    """(field K, sqrt of b in K) for b in F_p: K is F_p itself when b is
+    a square, else F_{p^2}.  The root is the one K.sqrt picks, the
+    smaller of the two by sort key."""
     r = F.sqrt(b)
     if r is not None:
         return F, r
-    K = make_extension(F.pf, 2 * F.k, seed=seed)
-    r = K.sqrt(embed(b, F, K))
-    if r is None:
-        raise InternalError("b must be a square in the quadratic extension")
-    return K, r
+    p = F.p
+    K = make_extension(F, 2, seed=seed)
+    # with modulus x^2 + u x + v, s = x + u/2 squares to the nonsquare
+    # delta = u^2/4 - v of F_p, so sqrt(b) = sqrt(b / delta) s
+    v, u, _ = K.modulus
+    half_u = u * (p + 1) // 2 % p
+    delta = (half_u * half_u - v) % p
+    t = F.sqrt(F.div(b, delta))
+    r = (t * half_u % p, t)
+    return K, min(r, K.neg(r), key=K.sort_key)
 
 
-def cm_matrix_formula(curve, seed=None):
+def _half_neg(F, a):
+    """-a/2 in F."""
+    return F.mul(F.neg(a), F.from_int((F.p + 1) // 2))
+
+
+def cm_matrix_formula(curve):
     """Closed-form W for family curves.
 
     Entry (i, j) with e = ip - j is nonzero only for e = m mod g
     (m = (p-1)/2), where it equals
 
-        sqrt(b)^(2m - s) P_s(-a / (2 sqrt(b))),   s = (e - m) / g.
+        sqrt(b)^(2m - s) P_s(-a / (2 sqrt(b))) = b^(m - s) H_s(-a/2, b),
 
-    All intermediates may live in F_{q^2}; the result provably lies in
-    F_q, and failure to project back is an internal error.
+    s = (e - m) / g, with H_s the homogeneous Legendre polynomial
+    (polys.legendre_eval), so every entry is computed in F itself.
     """
-    if seed is None:
-        seed = DEFAULT_SEED
     if not curve.is_family:
         raise ValueError("closed form needs the two-parameter family")
     F = curve.F
@@ -194,9 +242,8 @@ def cm_matrix_formula(curve, seed=None):
     if g % p == 0:
         raise CharacteristicDividesGenus(f"p = {p} divides g = {g}")
     m = (p - 1) // 2
-    K, sb = _sqrt_tower(F, curve.b, seed)
-    aK = embed(curve.a, F, K)
-    c = K.neg(K.div(aK, K.add(sb, sb)))
+    b = curve.b
+    x = _half_neg(F, curve.a)
     cache = {}
     entries = []
     for i in range(1, g + 1):
@@ -211,12 +258,9 @@ def cm_matrix_formula(curve, seed=None):
                 row.append(F.zero)
                 continue
             if s not in cache:
-                cache[s] = polys.legendre_eval(K, s, c)
-            w = K.mul(K.pow(sb, 2 * m - s), cache[s])
-            v = project(w, K, F) if K is not F else w
-            if v is None:
-                raise InternalError("formula entry escaped the base field")
-            row.append(v)
+                cache[s] = polys.legendre_eval(F, s, x, b)
+            # s can pass m; b^(q-1) = 1 keeps the exponent nonnegative
+            row.append(F.mul(F.pow(b, (m - s) % (F.q - 1)), cache[s]))
         entries.append(row)
     return CMMatrix(curve, entries)
 
@@ -364,16 +408,25 @@ _TABLE = {
 _ROW_MOD = {2: 4, 3: 3, 4: 8, 5: 5, 6: 12, 7: 7}
 
 
-def twist_factor(K, sb, p, i):
-    """sqrt(b)^((p-1)/i); the table only uses i dividing p - 1."""
+def twist_factor(K, sb, p, i, e=1, n=0):
+    """sqrt(b)^(e (p-1)/i - n); the table only uses i dividing p - 1.
+
+    sqrt(b)^(2(p-1)) = b^(p-1) = 1 for b in F_p, so a negative exponent
+    is taken modulo 2(p-1).
+    """
     if (p - 1) % i:
         raise InternalError(f"{i} does not divide p - 1 = {p - 1}")
-    return K.pow(sb, (p - 1) // i)
+    return K.pow(sb, (e * ((p - 1) // i) - n) % (2 * (p - 1)))
 
 
 def chi_mod_p_table(g, curve, seed=None):
     """Factored chi mod p for the family, straight from the genus-2..7
-    table; expanded coefficients are asserted to land in F_p."""
+    table; expanded coefficients are asserted to land in F_p.
+
+    Each factor constant is sqrt(b)^(e (p-1)/i - N) prod H_n(-a/2, b),
+    N the sum of its Legendre indices n: the H_n multiply in F_p, and
+    only sqrt(b), hence the reported constant, may need F_{p^2}.
+    """
     if seed is None:
         seed = DEFAULT_SEED
     if g not in _TABLE:
@@ -391,24 +444,29 @@ def chi_mod_p_table(g, curve, seed=None):
         raise RowNotApplicable(
             f"p = {p} mod {_ROW_MOD[g]} has no row at genus {g}")
     K, sb = _sqrt_tower(F, curve.b, seed)
-    c = K.neg(K.div(embed(curve.a, F, K), K.add(sb, sb)))
+    x = _half_neg(F, curve.a)
+    cache = {}
     factors = []
     poly = [K.one]
     for d, (i, e), pidx in row:
-        const = K.pow(twist_factor(K, sb, p, i), e)
+        prod, total = F.one, 0
         for (u, v, w) in pidx:
             n, r = divmod(u * p + v, w)
             if r or n < 0:
                 raise InternalError(f"bad Legendre index ({u}p{v:+d})/{w}")
-            const = K.mul(const, polys.legendre_eval(K, n, c))
+            if n not in cache:
+                cache[n] = polys.legendre_eval(F, n, x, curve.b)
+            prod = F.mul(prod, cache[n])
+            total += n
+        const = K.mul(twist_factor(K, sb, p, i, e, total),
+                      embed(prod, F, K))
         factors.append((d, FieldElement(K, const)))
         fac = [K.neg(const)] + [K.zero] * (d - 1) + [K.one]
         poly = polys.mul(K, poly, fac)
     coeffs = [0] * g
     for v in poly:
-        x = project(v, K, F.pf) if K is not F else v
-        if x is None:
+        c = project(v, K, F.pf) if K is not F else v
+        if c is None:
             raise InternalError("table coefficient escaped F_p")
-        coeffs.append(int(x))
+        coeffs.append(int(c))
     return ChiModP(p, g, coeffs, factors=factors)
-

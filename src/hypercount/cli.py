@@ -188,8 +188,7 @@ def cmd_cm_matrix(args):
     if args.method in ("naive", "both"):
         out["naive"] = _matrix_rows(cartier.cm_matrix_naive(C))
     if args.method in ("formula", "both"):
-        out["formula"] = _matrix_rows(
-            cartier.cm_matrix_formula(C, seed=args.seed))
+        out["formula"] = _matrix_rows(cartier.cm_matrix_formula(C))
     if args.method == "both":
         out["equal"] = out["naive"] == out["formula"]
         if not out["equal"]:
@@ -327,7 +326,7 @@ def _matrix_rows_for(g, p, count, seed):
                 break
         C = curve_from_ab(F, g, a, b)
         Wn = cartier.cm_matrix_naive(C)
-        Wf = cartier.cm_matrix_formula(C, seed=seed)
+        Wf = cartier.cm_matrix_formula(C)
         rows.append({"g": g, "p": p, "a": a, "b": b,
                      "sqrt_class": want, "match": Wn == Wf})
     return rows
@@ -425,7 +424,6 @@ def _emit(payload, args):
 
 def _add_common(sub):
     sub.add_argument("--seed", type=_int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=_int, default=DEFAULT_TRIALS)
     sub.add_argument("--budget", type=_int, default=None,
                      help="max enumerable field size (overrides "
                           f"{BUDGET_ENV})")
@@ -458,6 +456,8 @@ def build_parser():
     _add_curve_flags(s)
     s.add_argument("--trace-method", choices=("naive_count", "bsgs"),
                    default="naive_count")
+    s.add_argument("--trials", type=_int, default=DEFAULT_TRIALS,
+                   help="random divisors per Jacobian order check")
     _add_common(s)
     s.set_defaults(handler="cmd_count")
 

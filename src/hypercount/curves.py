@@ -6,7 +6,6 @@ first. The zeta oracle inverts point counts over F_{q^k}, k = 1..g, through
 Newton's identities; everything there is exact integer arithmetic.
 """
 
-import math
 import random
 
 from . import polys

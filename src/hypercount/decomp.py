@@ -13,7 +13,7 @@ what x^g + (alpha/x)^g collapses to under x + alpha/x -> x.
 
 from . import polys
 from .config import DEFAULT_SEED, default_budget
-from .curves import CurveSpec, _raw, curve_from_f, zeta_oracle
+from .curves import _raw, curve_from_f, zeta_oracle
 from .descent import extend_lpoly
 from .errors import BadGenus, CharacteristicDividesGenus, EvenGenus, \
     MismatchDetected, RootUnavailable

@@ -265,26 +265,46 @@ def dickson(F, n, alpha):
     return cur
 
 
-def legendre_eval(F, m, x):
-    """P_m(x) by the three-term recurrence; O(m), no coefficients stored.
+def legendre_eval(F, m, x, B=None):
+    """H_m(x, B) = B^(m/2) P_m(x / sqrt(B)), the homogeneous Legendre
+    polynomial; B defaults to 1, giving P_m(x).  O(m), no coefficients
+    stored.
 
-    Denominators 2..m must be invertible, so m < p is required.
+    H_m is a polynomial in x and B, so it lies in F even when B is not
+    a square there.  The recurrence runs division-free on
+    S_n = n! H_n,
+
+        S_n = (2n-1) x S_{n-1} - (n-1)^2 B S_{n-2},   S_0 = 1, S_1 = x,
+
+    and m! is inverted once at the end, so m < p is required.
     """
     if m < 0:
         raise ValueError("Legendre index must be >= 0")
-    if m >= F.p:
+    p = F.p
+    if m >= p:
         raise IndexTooLargeForCharacteristic(
-            f"P_{m} needs division by {m}! but characteristic is {F.p}")
+            f"P_{m} needs division by {m}! but characteristic is {p}")
     if m == 0:
         return F.one
-    prev = F.one
-    cur = x
+    fact = 1
     for n in range(2, m + 1):
-        # n*P_n = (2n-1)*x*P_{n-1} - (n-1)*P_{n-2}
+        fact = fact * n % p
+    inv_fact = pow(fact, -1, p)
+    if F.k == 1:
+        # raw elements are ints: keep the whole loop in int arithmetic
+        B = 1 if B is None else B
+        prev, cur = 1, x
+        for n in range(2, m + 1):
+            prev, cur = cur, ((2 * n - 1) * x * cur
+                              - (n - 1) * (n - 1) * B * prev) % p
+        return cur * inv_fact % p
+    B = F.one if B is None else B
+    prev, cur = F.one, x
+    for n in range(2, m + 1):
         t = F.sub(F.mul(F.from_int(2 * n - 1), F.mul(x, cur)),
-                  F.mul(F.from_int(n - 1), prev))
-        prev, cur = cur, F.mul(t, F.inv(F.from_int(n)))
-    return cur
+                  F.mul(F.from_int((n - 1) * (n - 1)), F.mul(B, prev)))
+        prev, cur = cur, t
+    return F.mul(cur, F.from_int(inv_fact))
 
 
 def _int_poly_mul(f, g):

@@ -3,15 +3,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypercount import polys
 from hypercount.cartier import (ChiModP, CMMatrix, _pow_coeffs_prime,
-                                chi_mod_p, chi_mod_p_table, cm_matrix_formula,
-                                cm_matrix_naive, twist_factor, wp_product)
+                                _sqrt_tower, chi_mod_p, chi_mod_p_table,
+                                cm_matrix_formula, cm_matrix_naive,
+                                twist_factor, wp_product)
 from hypercount.curves import curve_from_ab, curve_from_f, zeta_oracle
 from hypercount.errors import (BudgetExceeded, CharacteristicDividesGenus,
-                               NotPrimeField, UnsupportedGenus)
+                               NotPrimeField, SingularCurve, UnsupportedGenus)
 from hypercount.fields import make_extension, make_prime_field, next_prime
+from reference import expand_power
 
 
 def _nonsingular_ab(rng, p):
@@ -44,6 +48,51 @@ def test_naive_matrix_entries_from_expansion():
             e = i * 7 - j
             want = fm[e] if e < len(fm) else F.zero
             assert W.entry(i, j).rep == want
+
+
+# F_p and F_{p^2}; deg f^((p-1)/2) stays small enough to expand densely
+NAIVE_FIELDS = [make_prime_field(23), make_prime_field(31),
+                make_extension(make_prime_field(5), 2),
+                make_extension(make_prime_field(7), 2)]
+
+
+@st.composite
+def packed_curves(draw):
+    """A family curve with a != 0 or a = 0, or a curve outside the
+    family, over a field of NAIVE_FIELDS."""
+    F = draw(st.sampled_from(NAIVE_FIELDS))
+    g = draw(st.integers(2, 4))
+    assume(g % F.p)
+
+    def el():
+        n = draw(st.integers(0, F.q - 1))
+        return F.from_digits([n // F.p ** i % F.p for i in range(F.k)])
+
+    kind = draw(st.sampled_from(("family", "a=0", "other")))
+    try:
+        if kind == "other":
+            C = curve_from_f(F, [el() for _ in range(2 * g + 1)] + [F.one])
+        else:
+            a = F.zero if kind == "a=0" else el()
+            assume(a != F.zero or kind == "a=0")
+            C = curve_from_ab(F, g, a, el())
+    except SingularCurve:
+        assume(False)
+    return C
+
+
+@settings(max_examples=40)
+@given(packed_curves())
+def test_packed_naive_matrix_matches_dense_expansion(C):
+    F, p = C.F, C.F.p
+    fm = expand_power(F, C.f, (p - 1) // 2)
+    W = cm_matrix_naive(C)
+    for i in range(1, C.g + 1):
+        for j in range(1, C.g + 1):
+            e = i * p - j
+            assert W.entry(i, j).rep == (fm[e] if e < len(fm) else F.zero)
+    if C.is_family:
+        assert cm_matrix_formula(C) == W
 
 
 def test_cm_matrix_shape_and_eq():
@@ -179,6 +228,16 @@ def test_chi_mod_p_table_rejects():
     # squarefree and the clearer error fires first
     with pytest.raises(CharacteristicDividesGenus):
         curve_from_ab(make_prime_field(5), 5, 1, 3)
+
+
+def test_sqrt_tower_picks_the_root_of_k_sqrt():
+    # the table reports factor constants in F_{p^2}, so the root must be
+    # the one K.sqrt returns, not merely some square root of b
+    for p in (3, 5, 13, 17, 3001, 20011):
+        F = make_prime_field(p)
+        for b in [b for b in range(1, min(p, 40)) if F.legendre(b) == -1]:
+            K, r = _sqrt_tower(F, b, 7)
+            assert K.k == 2 and r == K.sqrt(K.from_int(b))
 
 
 def test_twist_factor_values():

@@ -354,6 +354,13 @@ def test_counts_below_one_are_bad_input():
         assert "must be >= 1" in out["detail"]
 
 
+def test_trials_is_a_count_flag_only():
+    # only count runs Jacobian order checks; elsewhere --trials is unknown
+    code, out, _ = _run(["chi-mod-p", "--p", "13", "--genus", "2",
+                         "--a", "1", "--b", "3", "--trials", "2"])
+    assert code == 1 and out is None
+
+
 def test_out_file_mirrors_stdout(tmp_path):
     dest = tmp_path / "result.json"
     code, out, _ = _run(WORKED + ["--out", str(dest)])

@@ -6,10 +6,10 @@ import pytest
 
 from hypercount.errors import (EvenCharacteristic, NoRootInField, NotPrime,
                                ZeroRadicand)
-from hypercount.fields import (MR_DETERMINISTIC_BOUND, FieldElement, embed,
-                               introot, is_prime, make_extension,
-                               make_prime_field, next_prime, nth_root,
-                               nth_root_field_degree, prime_factors, project)
+from hypercount.fields import (MR_DETERMINISTIC_BOUND, embed, introot,
+                               is_prime, make_extension, make_prime_field,
+                               next_prime, nth_root, nth_root_field_degree,
+                               prime_factors, project)
 
 
 def test_make_prime_field_basic():

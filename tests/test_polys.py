@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hypercount import polys
 from hypercount.errors import (DivisionByZero, IndexTooLargeForCharacteristic,
                                InternalError)
-from hypercount.fields import make_extension, make_prime_field, prime_factors
+from hypercount.fields import (embed, make_extension, make_prime_field,
+                               prime_factors)
+from reference import legendre_divided
 
 # small fields, so every element can be tried: F_p and F_{p^2}
 FIELDS = [make_prime_field(7), make_prime_field(13),
@@ -149,6 +151,34 @@ def test_legendre_eval_matches_coefficient_oracle():
                 x = F.rand(rng)
                 assert polys.legendre_eval(F, m, x) == \
                     polys.evaluate(F, oracle, x)
+
+
+# H_n(x, B) = sqrt(B)^n P_n(x / sqrt(B)) against the recurrence that
+# divides by n at every step, in the field where sqrt(B) lives
+LEGENDRE_FIELDS = [make_prime_field(101),
+                   make_extension(make_prime_field(13), 2)]
+
+
+def _nonsquare(F):
+    return next(x for x in (_element(F, n) for n in range(1, F.q))
+                if F.legendre(x) == -1)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_homogeneous_legendre_matches_divided_recurrence(data):
+    F = data.draw(st.sampled_from(LEGENDRE_FIELDS))
+    n = data.draw(st.integers(0, F.p - 1))
+    x = _element(F, data.draw(st.integers(0, F.q - 1)))
+    z = _element(F, data.draw(st.integers(1, F.q - 1)))
+    square = data.draw(st.booleans())
+    B = F.mul(z, z) if square else F.mul(F.mul(z, z), _nonsquare(F))
+    K = F if square else make_extension(F.pf, 2 * F.k)
+    sb = K.sqrt(embed(B, F, K))
+    want = K.mul(K.pow(sb, n),
+                 legendre_divided(K, n, K.div(embed(x, F, K), sb)))
+    assert embed(polys.legendre_eval(F, n, x, B), F, K) == want
+    assert polys.legendre_eval(F, n, x) == legendre_divided(F, n, x)
 
 
 def test_squarefree_and_derivative():
