@@ -11,9 +11,9 @@ cross-checks all of it at desk scale.
 
 from .cartier import (CMMatrix, ChiModP, chi_mod_p, chi_mod_p_table,
                       cm_matrix_formula, cm_matrix_naive, wp_product)
-from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
+from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS
 from .counting import (SKIPPED, TraceProvider, chi_generic, chi_genus3,
-                       frobenius_trace, legendre_octic_congruence,
+                       count, frobenius_trace, legendre_octic_congruence,
                        legendre_trace_congruence)
 from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,

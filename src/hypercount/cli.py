@@ -21,15 +21,15 @@ import sys
 import traceback
 
 from . import cartier
-from .config import BUDGET_ENV, DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .counting import (TraceProvider, chi_generic, chi_genus3,
-                       legendre_octic_congruence, legendre_trace_congruence)
+from .config import BUDGET_ENV, DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS
+from .counting import (count, legendre_octic_congruence,
+                       legendre_trace_congruence)
 from .curves import curve_from_ab, curve_from_f, zeta_oracle
 from .decomp import splitting_field_degree, twist_curves
 from .descent import extend_lpoly
 from .errors import (AmbiguousResult, BudgetExceeded, HypercountError,
                      InternalError, MismatchDetected, SingularSpecialization)
-from .fields import FieldElement, is_prime, make_prime_field
+from .fields import is_prime, make_prime_field
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,12 +78,21 @@ def _digits(desc, rep):
     return [_ds(d) for d in desc.digits(rep)]
 
 
-def _apply_budget(args):
-    """CLI flag > env var > default, realized through the env var so
-    every enumeration deep in the call tree sees the same cap."""
-    if getattr(args, "budget", None) is not None:
-        os.environ[BUDGET_ENV] = str(args.budget)
-    default_budget()  # validates the env value early
+def _budget(args):
+    """The enumeration budget: --budget, else the env var, else the
+    default.  Resolved and checked on every call, whether or not the
+    subcommand enumerates."""
+    flag = getattr(args, "budget", None)
+    raw = os.environ.get(BUDGET_ENV) if flag is None else str(flag)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        val = int(raw, 0)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+    if val <= 0:
+        raise ValueError(f"{BUDGET_ENV} must be positive, got {val}")
+    return val
 
 
 def _check_counts(args):
@@ -124,20 +133,10 @@ def _family_curve(args):
 
 def cmd_count(args):
     _load_curve_json(args)
-    for key in ("p", "genus", "a", "b"):
-        if getattr(args, key, None) is None:
-            raise ValueError(f"--{key} is required")
-    F = make_prime_field(args.p)
-    g = args.genus
-    fa = FieldElement(F, F.coerce(args.a))
-    fb = FieldElement(F, F.coerce(args.b))
-    if g == 3:
-        provider = TraceProvider(method=args.trace_method)
-        res = chi_genus3(fa, fb, provider, trials=args.trials, seed=args.seed)
-    else:
-        C = curve_from_ab(F, g, fa.rep, fb.rep)
-        res = chi_generic(C, trials=args.trials, seed=args.seed)
-    out = {"q": _ds(F.q), "genus": res.g, "status": res.status,
+    C = _family_curve(args)
+    res = count(C, trace_method=args.trace_method, budget=args.budget,
+                trials=args.trials, seed=args.seed)
+    out = {"q": _ds(C.F.q), "genus": res.g, "status": res.status,
            "chi": None, "jacobian_order": None,
            "candidates": [[_ds(c) for c in t] for t in res.tuples],
            "transcript": res.transcript}
@@ -163,7 +162,7 @@ def cmd_zeta_oracle(args):
                 f"--f has genus {C.g}, --genus says {args.genus}")
     else:
         C = _family_curve(args)
-    L = zeta_oracle(C, seed=args.seed)
+    L = zeta_oracle(C, args.budget, args.seed)
     out = {"q": _ds(F.q), "genus": C.g,
            "a": [_ds(v) for v in L.a],
            "lpoly": [_ds(v) for v in L.coeffs()],
@@ -275,7 +274,7 @@ def _verify_traces(args):
             if variant == 6 and p <= 5:
                 continue
             for c in range(p):
-                got = legendre_trace_congruence(p, c, variant)
+                got = legendre_trace_congruence(p, c, variant, args.budget)
                 if got == "skipped":
                     skipped += 1
                     continue
@@ -299,7 +298,7 @@ def _verify_octic(args):
             seen.add(rng.randrange(p))
         for rho in sorted(seen):
             try:
-                rep = legendre_octic_congruence(p, rho)
+                rep = legendre_octic_congruence(p, rho, args.budget)
             except SingularSpecialization:
                 skipped += 1
                 continue
@@ -347,7 +346,6 @@ def _verify_matrix(args):
 
 
 def _verify_extension(args):
-    budget = default_budget()
     rows, skipped = [], []
     for g in (2, 3):
         if g > args.genus_max:
@@ -356,7 +354,7 @@ def _verify_extension(args):
             for p in _primes(3, min(args.p_max, 13)):
                 if g % p == 0:
                     continue
-                if p ** (g * k) > budget:
+                if p ** (g * k) > args.budget:
                     skipped.append({"g": g, "p": p, "k": k,
                                     "reason": "budget"})
                     continue
@@ -364,9 +362,9 @@ def _verify_extension(args):
                 rng = random.Random(repr((args.seed, "verify-ext", g, p, k)))
                 a, b = _rand_ab(rng, p)
                 C = curve_from_ab(F, g, a, b)
-                L = zeta_oracle(C, seed=args.seed)
+                L = zeta_oracle(C, args.budget, args.seed)
                 direct = zeta_oracle(C.base_extend(k, seed=args.seed),
-                                     seed=args.seed)
+                                     args.budget, args.seed)
                 rows.append({"g": g, "p": p, "k": k, "a": a, "b": b,
                              "match": extend_lpoly(L, k).a == direct.a})
     failures = [r for r in rows if not r["match"]]
@@ -422,11 +420,12 @@ def _emit(payload, args):
             fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _add_common(sub):
+def _add_common(sub, with_budget=False):
     sub.add_argument("--seed", type=_int, default=DEFAULT_SEED)
-    sub.add_argument("--budget", type=_int, default=None,
-                     help="max enumerable field size (overrides "
-                          f"{BUDGET_ENV})")
+    if with_budget:
+        sub.add_argument("--budget", type=_int, default=None,
+                         help="max enumerable field size (overrides "
+                              f"{BUDGET_ENV})")
     sub.add_argument("--output", choices=("json", "text"), default="json")
     sub.add_argument("--out", default=None, help="also write JSON here")
 
@@ -447,10 +446,13 @@ def _add_curve_flags(sub, with_f=False):
 
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="hypercount",
+        prog="hypercount", allow_abbrev=False,
         description="Frobenius characteristic polynomials for the curve "
                     "family y^2 = x^(2g+1) + a x^(g+1) + b x")
-    subs = ap.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: --trials must not pass for --trials-per-row
+    subs = ap.add_subparsers(dest="command", required=True,
+                             parser_class=functools.partial(
+                                 argparse.ArgumentParser, allow_abbrev=False))
 
     s = subs.add_parser("count", help="chi and Jacobian order")
     _add_curve_flags(s)
@@ -458,12 +460,12 @@ def build_parser():
                    default="naive_count")
     s.add_argument("--trials", type=_int, default=DEFAULT_TRIALS,
                    help="random divisors per Jacobian order check")
-    _add_common(s)
+    _add_common(s, with_budget=True)
     s.set_defaults(handler="cmd_count")
 
     s = subs.add_parser("zeta-oracle", help="brute-force L-polynomial")
     _add_curve_flags(s, with_f=True)
-    _add_common(s)
+    _add_common(s, with_budget=True)
     s.set_defaults(handler="cmd_zeta_oracle")
 
     s = subs.add_parser("cm-matrix", help="Cartier-Manin matrix")
@@ -497,7 +499,7 @@ def build_parser():
     s.add_argument("--p-max", type=_int, default=23)
     s.add_argument("--genus-max", type=_int, default=7)
     s.add_argument("--count", type=_int, default=20)
-    _add_common(s)
+    _add_common(s, with_budget=True)
     s.set_defaults(handler="cmd_verify_congruences")
 
     s = subs.add_parser("decompose",
@@ -529,11 +531,8 @@ def main(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
-    # the budget reaches the library through os.environ for this call
-    # only; an in-process caller gets its environment back unchanged
-    prior = os.environ.get(BUDGET_ENV)
     try:
-        _apply_budget(args)
+        args.budget = _budget(args)
         _check_counts(args)
         code, payload = globals()[args.handler](args)
     except BudgetExceeded as e:
@@ -555,11 +554,6 @@ def main(argv=None):
                                      "detail": str(e)}
     except Exception as e:  # MemoryError included
         code, payload = _internal_error(e)
-    finally:
-        if prior is None:
-            os.environ.pop(BUDGET_ENV, None)
-        else:
-            os.environ[BUDGET_ENV] = prior
     _emit(payload, args)
     return code
 

@@ -1,23 +1,11 @@
-"""Run-wide defaults: RNG seed, probabilistic-check trial count, naive budget."""
+"""Run-wide defaults: RNG seed, probabilistic-check trial count, naive budget.
 
-import os
+The library takes the budget as an argument; only the CLI reads
+BUDGET_ENV from the environment.
+"""
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 12
 DEFAULT_BUDGET = 10**7
 
 BUDGET_ENV = "HYPERCOUNT_BUDGET"
-
-
-def default_budget():
-    """Naive-enumeration budget; HYPERCOUNT_BUDGET overrides (decimal or 0x hex)."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        val = int(raw, 0)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-    if val <= 0:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {val}")
-    return val

@@ -14,17 +14,16 @@ import random
 
 from . import polys
 from .cartier import chi_mod_p
-from .config import DEFAULT_SEED, DEFAULT_TRIALS, default_budget
-from .curves import (LPoly, check_oracle_budget, count_points, curve_from_ab,
-                     curve_from_f, jacobian_order_check,
-                     jacobian_order_screen, zeta_oracle)
+from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS
+from .curves import (LPoly, check_oracle_budget, count_points, curve_from_f,
+                     jacobian_order_check, jacobian_order_screen,
+                     zeta_oracle)
 from .decomp import elliptic_quotient, quotients_normalized
 from .descent import (CandidateSet, extend_lpoly, generic_descend,
                       genus4_descend, weil_filter)
-from .errors import (BadGenus, BudgetExceeded, CharacteristicDividesGenus,
-                     InternalError, NoCandidateSurvives,
-                     NonResidueDiscriminant, NotPrimeField,
-                     SingularSpecialization)
+from .errors import (BadGenus, BudgetExceeded, InternalError,
+                     NoCandidateSurvives, NonResidueDiscriminant,
+                     NotPrimeField, SingularSpecialization)
 from .fields import (FieldElement, embed, introot, make_extension,
                      make_prime_field, nth_root, nth_root_field_degree,
                      prime_factors, project)
@@ -40,8 +39,8 @@ class TraceProvider:
     """How to get elliptic Frobenius traces: full count or interval bsgs.
 
     budget caps the field size the method accepts; None picks the
-    method's default (the global count budget for naive_count, 10^14
-    for bsgs).  Kept deliberately small so a faster engine can be
+    method's default (the count budget DEFAULT_BUDGET for naive_count,
+    10^14 for bsgs).  Kept deliberately small so a faster engine can be
     plugged in without touching the algorithms above it.
     """
 
@@ -52,15 +51,18 @@ class TraceProvider:
             raise ValueError(f"unknown trace method {method!r}")
         self.method = method
         if budget is None:
-            budget = default_budget() if method == "naive_count" else _BSGS_CAP
+            budget = DEFAULT_BUDGET if method == "naive_count" else _BSGS_CAP
         self.budget = int(budget)
 
     def __repr__(self):
         return f"TraceProvider({self.method!r}, budget={self.budget})"
 
 
-def frobenius_trace(E, provider=None):
-    """Trace t with #E(F_q) = q + 1 - t for a genus-1 curve."""
+def frobenius_trace(E, provider=None, budget=DEFAULT_BUDGET):
+    """Trace t with #E(F_q) = q + 1 - t for a genus-1 curve.
+
+    budget caps the point count that bsgs falls back on when its
+    sampled points leave a tie."""
     if E.g != 1:
         raise BadGenus(f"trace provider expects genus 1, got {E.g}")
     if provider is None:
@@ -72,7 +74,7 @@ def frobenius_trace(E, provider=None):
     if provider.method == "naive_count":
         N = count_points(E, 1, provider.budget)
     else:
-        N = _bsgs_group_order(E)
+        N = _bsgs_group_order(E, budget)
     t = q + 1 - N
     if t * t > 4 * q:
         raise InternalError("trace escaped the Hasse interval")
@@ -163,13 +165,13 @@ def _kill_multiples(G, P, lo, width):
     return sorted(n for n in hits if lo <= n < lo + width)
 
 
-def _bsgs_group_order(E):
+def _bsgs_group_order(E, budget):
     """#E by searching the Hasse interval; kills the ambiguity with more points.
 
     Each random point P pins #E to the multiples of ord(P) inside the
     interval; intersecting those sets over several points almost always
     leaves one value.  A tiny group exponent can keep the tie alive, in
-    which case the naive count takes over (if it fits the budget).
+    which case the naive count takes over (if q fits the budget).
     """
     F = E.F
     q = F.q
@@ -189,8 +191,8 @@ def _bsgs_group_order(E):
         cands = set(hits) if cands is None else cands & set(hits)
         if len(cands) == 1:
             return cands.pop()
-    if q <= default_budget():
-        return count_points(E, 1)
+    if q <= budget:
+        return count_points(E, 1, budget)
     raise BudgetExceeded(
         f"bsgs left {len(cands or ())} order candidates and the naive "
         f"fallback exceeds the count budget")
@@ -236,7 +238,7 @@ def _order_check_prune(cands, curve, trials, seed):
     return CandidateSet(cands.q, cands.g, kept)
 
 
-def _break_tie(cs, curve, transcript, trials, seed):
+def _break_tie(cs, curve, transcript, trials, seed, budget):
     """Narrow the tuples of curve over its own field F_q.
 
     Three tiebreakers in turn, cheapest conclusive first and none able
@@ -251,7 +253,7 @@ def _break_tie(cs, curve, transcript, trials, seed):
     q, g = cs.q, cs.g
     if len(cs) > 1:
         try:
-            N1 = count_points(curve, 1, seed=seed)
+            N1 = count_points(curve, 1, budget, seed)
         except BudgetExceeded:
             pass
         else:
@@ -277,13 +279,13 @@ def _break_tie(cs, curve, transcript, trials, seed):
     return cs
 
 
-def _final_result(q, g, tuples, transcript, curve, trials, seed):
+def _final_result(q, g, tuples, transcript, curve, trials, seed, budget):
     """Wrap surviving tuples over F_q, after one last Weil filter and
     the tie-break ladder on curve."""
     cs = weil_filter(CandidateSet(q, g, tuples))
     if len(cs) < len(tuples):
         transcript.append(f"final Weil filter: {len(tuples)} -> {len(cs)}")
-    cs = _break_tie(cs, curve, transcript, trials, seed)
+    cs = _break_tie(cs, curve, transcript, trials, seed, budget)
     return CandidateSet(q, g, cs.tuples, transcript)
 
 
@@ -305,7 +307,8 @@ def _odd_flipped(a):
     return [-v if i % 2 == 0 else v for i, v in enumerate(a)]
 
 
-def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
+                budget=DEFAULT_BUDGET):
     """chi of a family curve by splitting-field assembly plus descent.
 
     The quotient pair of the normal form y^2 = x^(2g+1) + c x^(g+1) + x,
@@ -346,12 +349,12 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         raise InternalError("sqrt(b) escaped its quadratic field")
     c = q1f.div(embed(curve.a, F, q1f), sb)
     pair = quotients_normalized(q1f, g, c)
-    check_oracle_budget(pair.X1)
+    check_oracle_budget(pair.X1, budget)
     if g % 2:
-        check_oracle_budget(pair.X2)
-    L1 = zeta_oracle(pair.X1, seed=seed)
+        check_oracle_budget(pair.X2, budget)
+    L1 = zeta_oracle(pair.X1, budget, seed)
     if g % 2:
-        L2 = zeta_oracle(pair.X2, seed=seed)
+        L2 = zeta_oracle(pair.X2, budget, seed)
     elif q1f.q % 4 == 1:
         L2 = L1
     else:
@@ -388,7 +391,7 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
                 f"descent from F_q^{n} to F_q^{i} eliminated every tuple"
             ) from None
         cs = _break_tie(cs, curve.base_extend(i, seed=seed), transcript,
-                        trials, seed)
+                        trials, seed, budget)
         transcript.append(
             f"descend by {kj}: {len(tuples)} -> {len(cs)} candidates")
         tuples, n = cs.tuples, i
@@ -397,16 +400,10 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
 
 # --- genus 3 through the elliptic quotient and Legendre traces ---
 
-def _coefficient_field(a, b):
-    if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
-        raise TypeError("coefficients must be field elements")
-    if a.desc is not b.desc:
-        raise ValueError("coefficients live in different fields")
-    return a.desc
-
-
-def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
-    """chi (degree 6) of y^2 = x^7 + a x^4 + b x over a prime field.
+def chi_genus3(curve, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
+               budget=DEFAULT_BUDGET):
+    """chi (degree 6) of the family curve y^2 = x^7 + a x^4 + b x over a
+    prime field.
 
     The Jacobian splits as E x A with E the elliptic quotient
     y^2 = x^3 + a x^2 + b x, and A is, up to twist, E6 x E6 or its
@@ -415,21 +412,24 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     all arithmetic stays over F_p: when sqrt(b) is not in F_p the
     F_{p^2} trace is read off a curve over F_p (_descended_t6).  The
     pool holds the truth, so one random-divisor order check settles it
-    unless a tie survives, which goes to the tie-break ladder.
+    unless a tie survives, which goes to the tie-break ladder.  budget
+    caps every point count, the default provider's included.  No family
+    curve of genus 3 has p = 3: there x^6 + a x^3 + b is a cube.
     """
-    F = _coefficient_field(a, b)
+    if not curve.is_family:
+        raise ValueError("chi_genus3 needs the two-parameter family shape")
+    if curve.g != 3:
+        raise BadGenus(f"chi_genus3 counts genus 3, got {curve.g}")
+    F, a, b = curve.F, curve.a, curve.b
     if F.k != 1:
         raise NotPrimeField("the genus-3 algorithm works over prime fields")
     p = F.p
-    if p == 3:
-        raise CharacteristicDividesGenus("p = 3 divides g = 3")
-    C = curve_from_ab(F, 3, a.rep, b.rep)
     if provider is None:
-        provider = TraceProvider()
-    E = elliptic_quotient(F, 3, a.rep, b.rep)
-    t2 = frobenius_trace(E, provider)
+        provider = TraceProvider(budget=budget)
+    E = elliptic_quotient(F, 3, a, b)
+    t2 = frobenius_trace(E, provider, budget)
     transcript = [f"t2 = {t2} for the elliptic quotient"]
-    pool = _chi_a_pool(F, a.rep, b.rep, provider, transcript)
+    pool = _chi_a_pool(F, a, b, provider, transcript, budget)
 
     chiE_at_1 = 1 - t2 + p
     orders = {}
@@ -437,7 +437,8 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         N = chiE_at_1 * (1 - b1 + b2 - b1 * p + p * p)
         if N > 0:
             orders[b1, b2] = N
-    passed = set(jacobian_order_screen(C, list(orders.values()), 1, seed))
+    passed = set(jacobian_order_screen(curve, list(orders.values()), 1,
+                                       seed))
     kept = [pair for pair, N in orders.items() if N in passed]
     if not kept:
         raise NoCandidateSurvives("order check eliminated every (b1, b2) pair")
@@ -448,7 +449,8 @@ def chi_genus3(a, b, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         chiC = polys._int_poly_mul([p, -t2, 1],
                                    [p * p, -b1 * p, b2, -b1, 1])
         tuples.append((chiC[5], chiC[4], chiC[3]))
-    return _final_result(p, 3, tuples, transcript, C, trials, seed)
+    return _final_result(p, 3, tuples, transcript, curve, trials, seed,
+                         budget)
 
 
 def _twist_unit_sum(F, u, e):
@@ -461,7 +463,7 @@ def _twist_unit_sum(F, u, e):
     return w
 
 
-def _chi_a_pool(F, a, b, provider, transcript):
+def _chi_a_pool(F, a, b, provider, transcript, budget):
     """The (b1, b2) of chi_A = T^4 - b1 T^3 + b2 T^2 - p b1 T + p^2 that
     the closed forms in t6 allow; the true pair is always among them.
 
@@ -482,7 +484,7 @@ def _chi_a_pool(F, a, b, provider, transcript):
         c = F.div(F.neg(a), F.mul(F.from_int(2), sb))
         E6 = curve_from_f(F, [F.mul(F.from_int(2), c), F.from_int(-3),
                               F.zero, F.one])
-        t6 = frobenius_trace(E6, provider)
+        t6 = frobenius_trace(E6, provider, budget)
         transcript.append(f"t6 = {t6} over F_p (sqrt(b) in F_p)")
         if p % 3 == 2:
             pool = [(0, 2 * p - t6 * t6)]
@@ -490,7 +492,7 @@ def _chi_a_pool(F, a, b, provider, transcript):
             w = _twist_unit_sum(F, sb, (p - 1) // 6)
             pool = [(F.legendre(3 % p) * w * t6, t6 * t6 + (w * w - 2) * p)]
     else:
-        t6 = _descended_t6(F, a, b, provider)
+        t6 = _descended_t6(F, a, b, provider, budget)
         transcript.append(f"t6 = {t6} over F_p^2 (sqrt(b) not in F_p)")
         # sqrt(b)^((p^2 - 1)/6) over F_{p^2} is b^((p^2 - 1)/12) in F_p
         w = _twist_unit_sum(F, b, (p * p - 1) // 12)
@@ -518,7 +520,7 @@ def _signed_isqrt(n, centre):
     return sorted({centre - r, centre + r})
 
 
-def _descended_t6(F, a, b, provider):
+def _descended_t6(F, a, b, provider, budget):
     """Trace over F_{p^2} of y^2 = x^3 - 3x + 2c, c = -a/(2 sqrt(b)), b a
     nonsquare mod p, computed over F_p.
 
@@ -532,17 +534,37 @@ def _descended_t6(F, a, b, provider):
     p = F.p
     if a == F.zero:
         Ed = curve_from_f(F, [F.zero, F.from_int(-3), F.zero, F.one])
-        return frobenius_trace(Ed, provider) ** 2 - 2 * p
+        return frobenius_trace(Ed, provider, budget) ** 2 - 2 * p
     s = F.div(F.mul(a, a), F.mul(F.from_int(4), b))
     Ed = curve_from_f(F, [F.mul(F.from_int(2), F.mul(s, s)),
                           F.mul(F.from_int(-3), s), F.zero, F.one])
-    t = frobenius_trace(Ed, provider)
+    t = frobenius_trace(Ed, provider, budget)
     return F.legendre(F.neg(s)) * (t * t - 2 * p)
+
+
+# --- the entry point ---
+
+def count(curve, *, trace_method="naive_count", budget=DEFAULT_BUDGET,
+          trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+    """chi and #Jac of a family curve, as a CandidateSet over F_q.
+
+    Genus 3 goes to chi_genus3, with elliptic traces by trace_method;
+    every other genus goes to chi_generic.  budget caps every point
+    enumeration, trials is the number of random divisors per Jacobian
+    order check, and seed fixes every random draw.
+    """
+    if not curve.is_family:
+        raise ValueError("count needs the two-parameter family shape")
+    provider = TraceProvider(
+        trace_method, budget if trace_method == "naive_count" else None)
+    if curve.g == 3:
+        return chi_genus3(curve, provider, trials, seed, budget)
+    return chi_generic(curve, trials, seed, budget)
 
 
 # --- Legendre-polynomial congruence checkers ---
 
-def legendre_trace_congruence(p, c, variant):
+def legendre_trace_congruence(p, c, variant, budget=DEFAULT_BUDGET):
     """One identity P_m(c) = (character) * trace mod p, checked directly.
 
     variant picks the elliptic family (2, 3, 4 or 6) and with it the
@@ -585,11 +607,11 @@ def legendre_trace_congruence(p, c, variant):
         B = F.mul(two, cc)
 
     E = curve_from_f(F, [B, A, F.zero, F.one])
-    t = frobenius_trace(E, TraceProvider())
+    t = frobenius_trace(E, TraceProvider(budget=budget))
     return polys.legendre_eval(F, idx, cc) == F.from_int(char * t)
 
 
-def legendre_octic_congruence(p, rho):
+def legendre_octic_congruence(p, rho, budget=DEFAULT_BUDGET):
     """The paired congruences at indices (p-1)/8 and (3p-3)/8.
 
     Builds the genus-2 quotient y^2 = (x+2)(D_4(x) + c) at c = -2 rho,
@@ -605,7 +627,7 @@ def legendre_octic_congruence(p, rho):
         raise SingularSpecialization("rho = +-1 collapses the quotient curve")
     c = F.mul(F.from_int(-2), r)
     X1 = quotients_normalized(F, 4, c).X1
-    b1, b2 = zeta_oracle(X1).a
+    b1, b2 = zeta_oracle(X1, budget).a
     d = (b1 * b1 - 4 * b2) % p
     P_lo = polys.legendre_eval(F, (p - 1) // 8, r)
     P_hi = polys.legendre_eval(F, (3 * p - 3) // 8, r)

@@ -9,7 +9,7 @@ Newton's identities; everything there is exact integer arithmetic.
 import random
 
 from . import polys
-from .config import DEFAULT_SEED, default_budget
+from .config import DEFAULT_BUDGET, DEFAULT_SEED
 from .enumeration import check_enumerable, count_curve_points
 from .errors import (BadGenus, CharacteristicDividesGenus, InternalError,
                      SingularCurve)
@@ -90,10 +90,8 @@ def curve_from_f(F, coeffs):
     return c
 
 
-def count_points(curve, k=1, budget=None, seed=DEFAULT_SEED):
+def count_points(curve, k=1, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     """#C(F_{q^k}) by exhaustive enumeration."""
-    if budget is None:
-        budget = default_budget()
     ext = make_extension(curve.F, k, seed=seed)
     f = [embed(c, curve.F, ext) for c in curve.f]
     return count_curve_points(ext, f, budget)
@@ -180,19 +178,17 @@ def lpoly_from_counts(q, g, counts):
     return LPoly(q, g, a)
 
 
-def check_oracle_budget(curve, budget=None):
+def check_oracle_budget(curve, budget=DEFAULT_BUDGET):
     """Raise BudgetExceeded unless zeta_oracle can count every F_{q^k}.
 
     Refuses before anything is counted, naming the smallest field that
     the count over F_{q^k}, k = 1..g, would refuse.
     """
-    if budget is None:
-        budget = default_budget()
     for k in range(1, curve.g + 1):
         check_enumerable(curve.F.p, curve.F.k * k, budget)
 
 
-def zeta_oracle(curve, budget=None, seed=DEFAULT_SEED):
+def zeta_oracle(curve, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED):
     """L-polynomial by brute-force counting over F_{q^k}, k = 1..g."""
     check_oracle_budget(curve, budget)
     counts = [count_points(curve, k, budget=budget, seed=seed)

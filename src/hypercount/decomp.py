@@ -12,7 +12,7 @@ what x^g + (alpha/x)^g collapses to under x + alpha/x -> x.
 """
 
 from . import polys
-from .config import DEFAULT_SEED, default_budget
+from .config import DEFAULT_BUDGET, DEFAULT_SEED
 from .curves import _raw, curve_from_f, zeta_oracle
 from .descent import extend_lpoly
 from .errors import BadGenus, CharacteristicDividesGenus, EvenGenus, \
@@ -171,7 +171,8 @@ def split_quotients(curve, seed=DEFAULT_SEED):
     return pair, k
 
 
-def decomposition_check(curve, budget=None, seed=DEFAULT_SEED, direct=False):
+def decomposition_check(curve, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED,
+                        direct=False):
     """Verify L_C = L_X1 * L_X2 over the splitting field, by oracle counts.
 
     Both quotients are counted directly over F_{q^k}; L_C is counted
@@ -183,8 +184,6 @@ def decomposition_check(curve, budget=None, seed=DEFAULT_SEED, direct=False):
     """
     if not curve.is_family:
         raise ValueError("decomposition check needs a family curve")
-    if budget is None:
-        budget = default_budget()
     pair, k = split_quotients(curve, seed=seed)
     if direct:
         LC = zeta_oracle(curve.base_extend(k, seed=seed),

@@ -163,15 +163,9 @@ class FieldElement:
     def __repr__(self):
         return f"{self.rep!r} in {self.desc!r}"
 
-    def frob(self, j=1):
-        return FieldElement(self.desc, self.desc.frobenius(self.rep, j))
-
     def sqrt(self):
         r = self.desc.sqrt(self.rep)
         return None if r is None else FieldElement(self.desc, r)
-
-    def embed_into(self, tgt):
-        return FieldElement(tgt, embed(self.rep, self.desc, tgt))
 
 
 class FieldDesc:

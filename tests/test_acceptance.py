@@ -125,7 +125,7 @@ def test_ac_04_genus3_count_matches_oracle():
         for t in range(5):
             want = 1 if t % 2 == 0 else -1
             a, b = _rand_ab(rng, p, want)
-            res = chi_genus3(F.el(a), F.el(b), TraceProvider())
+            res = chi_genus3(curve_from_ab(F, 3, a, b), TraceProvider())
             truth = zeta_oracle(curve_from_ab(F, 3, a, b)).a
             if res.status == "unique":
                 assert tuple(res.tuples) == (truth,)

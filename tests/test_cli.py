@@ -23,9 +23,8 @@ from hypercount.errors import InternalError
 def _run(argv, env=None):
     """Run the CLI once, returning (exit code, parsed payload, raw stdout).
 
-    The budget knob travels through os.environ, so env, when given, is
-    set for this invocation only.  payload is None when stdout is not
-    JSON.
+    env, when given, is the HYPERCOUNT_BUDGET value the CLI reads, set
+    for this invocation only.  payload is None when stdout is not JSON.
     """
     saved = os.environ.get(BUDGET_ENV)
     if env is not None:
@@ -358,6 +357,20 @@ def test_trials_is_a_count_flag_only():
     # only count runs Jacobian order checks; elsewhere --trials is unknown
     code, out, _ = _run(["chi-mod-p", "--p", "13", "--genus", "2",
                          "--a", "1", "--b", "3", "--trials", "2"])
+    assert code == 1 and out is None
+
+
+def test_budget_is_a_flag_of_the_enumerating_subcommands_only():
+    # chi-mod-p, cm-matrix, decompose and verify-table enumerate nothing
+    code, out, _ = _run(["chi-mod-p", "--p", "13", "--genus", "2",
+                         "--a", "1", "--b", "3", "--budget", "5"])
+    assert code == 1 and out is None
+
+
+def test_abbreviated_flags_are_refused():
+    # --trials would otherwise pass for verify-table's --trials-per-row
+    code, out, _ = _run(["verify-table", "--genus", "2", "--p-max", "7",
+                         "--trials", "1"])
     assert code == 1 and out is None
 
 

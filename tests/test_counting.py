@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import hypercount
 from hypercount import counting, curves
 from hypercount.counting import (SKIPPED, TraceProvider, _chi_a_pool,
                                  _descended_t6, chi_generic, chi_genus3,
                                  frobenius_trace, legendre_octic_congruence,
                                  legendre_trace_congruence)
 from hypercount.cartier import chi_mod_p
+from hypercount.config import DEFAULT_BUDGET
 from hypercount.curves import (LPoly, count_points, curve_from_ab,
                                curve_from_f, zeta_oracle)
 from hypercount.decomp import elliptic_quotient
@@ -75,7 +79,7 @@ def test_chi_result_plumbing():
 
 def test_chi_genus3_worked_example():
     F = make_prime_field(13)
-    res = chi_genus3(F.el(2), F.el(5))
+    res = chi_genus3(curve_from_ab(F, 3, 2, 5))
     assert res.status == "unique"
     assert res.coefficients == (0, 36, -2)
     assert res.order() == 2700
@@ -93,7 +97,7 @@ def test_chi_genus3_matches_oracle_both_branches():
             if (a * a - 4 * b) % p == 0 or F.legendre(b) in seen:
                 continue
             want = zeta_oracle(curve_from_ab(F, 3, a, b))
-            res = chi_genus3(F.el(a), F.el(b))
+            res = chi_genus3(curve_from_ab(F, 3, a, b))
             if res.status == "unique":
                 assert res.coefficients == want.a
             else:
@@ -103,7 +107,8 @@ def test_chi_genus3_matches_oracle_both_branches():
         b = next(v for v in range(2, p) if F.legendre(v) == -1)
         want = zeta_oracle(curve_from_ab(F, 3, 0, b))
         for method in ("naive_count", "bsgs"):
-            res = chi_genus3(F.el(0), F.el(b), provider=TraceProvider(method))
+            res = chi_genus3(curve_from_ab(F, 3, 0, b),
+                             provider=TraceProvider(method))
             assert want.a in res.tuples
             if res.status == "unique":
                 assert res.coefficients == want.a
@@ -130,7 +135,7 @@ def test_chi_a_pool_holds_the_oracle_chi_a():
             b2 = a2 - t2 * b1 - p
             for method in ("naive_count", "bsgs"):
                 pool = _chi_a_pool(F, F.coerce(a), F.coerce(b),
-                                   TraceProvider(method), [])
+                                   TraceProvider(method), [], DEFAULT_BUDGET)
                 assert (b1, b2) in pool, (p, a, b, method)
                 assert 1 <= len(pool) <= 4
 
@@ -146,7 +151,8 @@ def test_former_ambiguous_inputs_count_uniquely(p, a, b, want):
     # each of these once ended with several candidates (exit 3); at
     # p = 7 and 271, b is a square and t6 = 0
     F = make_prime_field(p)
-    res = chi_genus3(F.el(a), F.el(b), provider=TraceProvider("bsgs"))
+    res = chi_genus3(curve_from_ab(F, 3, a, b),
+                     provider=TraceProvider("bsgs"))
     assert res.status == "unique"
     if want is not None:
         assert res.coefficients == want
@@ -177,8 +183,9 @@ def test_descended_t6_matches_count_over_quadratic_extension():
                                        K.from_int(-3), K.zero, K.one])
                 want = K.q + 1 - count_points(E62, 1)
                 for method in ("naive_count", "bsgs"):
-                    assert _descended_t6(F, a, b, TraceProvider(method)) \
-                        == want, (p, a, b, method)
+                    assert _descended_t6(F, a, b, TraceProvider(method),
+                                         DEFAULT_BUDGET) == want, \
+                        (p, a, b, method)
 
 
 @pytest.mark.parametrize("b", [4, 5])
@@ -189,7 +196,7 @@ def test_chi_genus3_at_42_bits(b):
     F = make_prime_field(p)
     assert F.legendre(b) == (1 if b == 4 else -1)
     provider = TraceProvider("bsgs")
-    res = chi_genus3(F.el(a), F.el(b), provider=provider)
+    res = chi_genus3(curve_from_ab(F, 3, a, b), provider=provider)
     assert res.status == "unique"
     assert len(weil_filter(CandidateSet(p, 3, res.tuples))) == 1
     t2 = frobenius_trace(elliptic_quotient(F, 3, a, b), provider)
@@ -215,21 +222,55 @@ def test_chi_generic_refuses_over_budget_before_counting(monkeypatch):
 
 def test_chi_genus3_with_bsgs_provider():
     F = make_prime_field(13)
-    res = chi_genus3(F.el(2), F.el(5), provider=TraceProvider("bsgs"))
+    res = chi_genus3(curve_from_ab(F, 3, 2, 5),
+                     provider=TraceProvider("bsgs"))
     assert res.status == "unique" and res.coefficients == (0, 36, -2)
 
 
 def test_chi_genus3_rejects():
     F = make_prime_field(3)
     with pytest.raises(CharacteristicDividesGenus):
-        chi_genus3(F.el(1), F.el(2))
+        chi_genus3(curve_from_ab(F, 3, 1, 2))
     K = make_extension(make_prime_field(13), 2)
     with pytest.raises(NotPrimeField):
-        chi_genus3(K.el(K.from_int(2)), K.el(K.from_int(5)))
-    with pytest.raises(TypeError):
-        chi_genus3(2, 5)
-    with pytest.raises(ValueError):
-        chi_genus3(make_prime_field(13).el(2), make_prime_field(11).el(5))
+        chi_genus3(curve_from_ab(K, 3, K.from_int(2), K.from_int(5)))
+    F = make_prime_field(13)
+    with pytest.raises(ValueError, match="family shape"):
+        chi_genus3(curve_from_f(F, [1, 2, 0, 0, 0, 0, 0, 1]))
+    with pytest.raises(BadGenus):
+        chi_genus3(curve_from_ab(F, 2, 2, 5))
+
+
+@settings(max_examples=60)
+@given(p=st.sampled_from((3, 5, 7, 11, 13)), g=st.integers(2, 4),
+       a=st.integers(0, 12), b=st.integers(1, 12))
+def test_count_matches_oracle_on_tiny_curves(p, g, a, b):
+    assume(g % p and b % p and (a * a - 4 * b) % p)
+    C = curve_from_ab(make_prime_field(p), g, a, b)
+    truth = zeta_oracle(C).a
+    res = hypercount.count(C)
+    if res.status == "unique":
+        assert res.tuples == [truth]
+    else:
+        assert truth in res.tuples
+
+
+def test_library_ignores_the_budget_env_var(monkeypatch):
+    # only the CLI reads HYPERCOUNT_BUDGET; the library takes an argument
+    C = curve_from_ab(make_prime_field(13), 2, 1, 1)
+    monkeypatch.setenv("HYPERCOUNT_BUDGET", "5")
+    assert zeta_oracle(C).order() > 0
+    monkeypatch.delenv("HYPERCOUNT_BUDGET")
+    with pytest.raises(BudgetExceeded):
+        hypercount.count(C, budget=5)
+
+
+def test_count_rejects_a_curve_outside_the_family():
+    with pytest.raises(ValueError, match="family shape"):
+        hypercount.count(curve_from_f(make_prime_field(13), [1, 3, 0, 7, 0, 1]))
+    with pytest.raises(ValueError, match="unknown trace method"):
+        hypercount.count(curve_from_ab(make_prime_field(13), 2, 1, 1),
+                         trace_method="schoof")
 
 
 def test_chi_genus4_matches_oracle():
@@ -322,7 +363,7 @@ def test_tie_break_over_an_extension_field_skips_chi_mod_p(monkeypatch):
     monkeypatch.setattr(counting, "chi_mod_p", spy_chi)
     transcript = []
     cs = counting._break_tie(CandidateSet(49, 2, [true, fake]), C,
-                             transcript, 6, 42)
+                             transcript, 6, 42, DEFAULT_BUDGET)
     assert cs.tuples == [true]
     assert chi_calls == []
     assert transcript == ["extension order checks: 2 -> 1"]
