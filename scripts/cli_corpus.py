@@ -7,10 +7,11 @@
 The corpus is every operation of seeds 1-3 of the three benchmark
 workloads (benchmark/workloads.py, at the run length BENCHMARK.json
 sets), warm-ups included, then each subcommand on a small input run
-plain, with --budget 5, with HYPERCOUNT_BUDGET=5 and with a malformed
-HYPERCOUNT_BUDGET, and last an abbreviated flag.  Every call runs
-in-process; for each the file records the exit code and the sha256 of
-stdout, so two checkouts can be compared with the same script.
+plain, with --budget 5, with --budget 0, with HYPERCOUNT_BUDGET=5 and
+with a malformed HYPERCOUNT_BUDGET, and last an abbreviated flag.
+Every call runs in-process; for each the file records the exit code
+and the sha256 of stdout, so two checkouts can be compared with the
+same script.
 """
 
 import argparse
@@ -28,6 +29,7 @@ WORKLOADS = ("count-g3", "count-descent", "cm-sweep")
 CURVE = ["--p", "13", "--genus", "3", "--a", "2", "--b", "5"]
 SUBCOMMANDS = [
     ["count", *CURVE],
+    ["count", *CURVE, "--trace-method", "bsgs"],
     ["count", "--p", "31", "--genus", "4", "--a", "28", "--b", "12"],
     ["zeta-oracle", *CURVE],
     ["cm-matrix", *CURVE],
@@ -43,6 +45,7 @@ SUBCOMMANDS = [
 ]
 # (label suffix, extra flags, HYPERCOUNT_BUDGET value or None)
 BUDGET_VARIANTS = [("", [], None), (" --budget 5", ["--budget", "5"], None),
+                   (" --budget 0", ["--budget", "0"], None),
                    (" [env 5]", [], "5"), (" [env junk]", [], "junk")]
 ABBREVIATED = [["verify-table", "--genus", "2", "--p-max", "7",
                 "--trials", "1"]]

@@ -12,8 +12,8 @@ cross-checks all of it at desk scale.
 from .cartier import (CMMatrix, ChiModP, chi_mod_p, chi_mod_p_table,
                       cm_matrix_formula, cm_matrix_naive, wp_product)
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS
-from .counting import (SKIPPED, TraceProvider, chi_generic, chi_genus3,
-                       count, frobenius_trace, legendre_octic_congruence,
+from .counting import (SKIPPED, chi_generic, chi_genus3, count,
+                       frobenius_trace, legendre_octic_congruence,
                        legendre_trace_congruence)
 from .curves import (CurveSpec, LPoly, count_points, curve_from_ab,
                      curve_from_f, jac_add, jac_identity, jac_neg,
@@ -30,9 +30,9 @@ from .errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                      MismatchDetected, NoCandidateSurvives, NotPrime,
                      NotPrimeField, RowNotApplicable, SingularCurve,
                      SingularSpecialization)
-from .fields import (FieldElement, embed, is_prime, make_extension,
-                     make_prime_field, next_prime, nth_root,
-                     nth_root_field_degree, prime_factors, project)
+from .fields import (embed, is_prime, make_extension, make_prime_field,
+                     next_prime, nth_root, nth_root_field_degree,
+                     prime_factors, project)
 
 __version__ = "0.1.0"
 

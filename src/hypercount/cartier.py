@@ -35,14 +35,15 @@ from .config import DEFAULT_SEED
 from .errors import (CharacteristicDividesGenus, BudgetExceeded,
                      InternalError, NotPrimeField, RowNotApplicable,
                      UnsupportedGenus)
-from .fields import FieldElement, embed, make_extension, project
+from .fields import embed, make_extension, project
 
 # dense powering cap: slot count of the fully expanded f^((p-1)/2)
 _SLOT_CAP = 600_000
 
 
 class CMMatrix:
-    """g x g matrix of the c_{ip-j}; entry(i, j) is 1-indexed."""
+    """g x g matrix of the c_{ip-j}, raw elements of curve.F; entry(i, j)
+    is 1-indexed."""
 
     __slots__ = ("curve", "entries")
 
@@ -51,7 +52,7 @@ class CMMatrix:
         if len(entries) != g or any(len(row) != g for row in entries):
             raise ValueError("entries must be g x g")
         self.curve = curve
-        self.entries = [[curve.F.el(v) for v in row] for row in entries]
+        self.entries = [list(row) for row in entries]
 
     @property
     def g(self):
@@ -64,8 +65,7 @@ class CMMatrix:
         if not isinstance(other, CMMatrix):
             return NotImplemented
         return (self.curve.F is other.curve.F
-                and [[e.rep for e in row] for row in self.entries]
-                == [[e.rep for e in row] for row in other.entries])
+                and self.entries == other.entries)
 
     def __repr__(self):
         return f"CMMatrix(g={self.g}, q={self.curve.F.q})"
@@ -73,11 +73,12 @@ class CMMatrix:
 
 class ChiModP:
     """T^g det(TI - W_p) mod p: expanded coefficients, plus the factored
-    shape (T^d - const) when one is known."""
+    shape (T^d - const) when one is known, each const a raw element of
+    factor_field."""
 
-    __slots__ = ("p", "g", "coeffs", "factors")
+    __slots__ = ("p", "g", "coeffs", "factors", "factor_field")
 
-    def __init__(self, p, g, coeffs, factors=None):
+    def __init__(self, p, g, coeffs, factors=None, factor_field=None):
         coeffs = [int(c) % p for c in coeffs]
         if len(coeffs) != 2 * g + 1:
             raise ValueError("need 2g+1 coefficients")
@@ -89,6 +90,7 @@ class ChiModP:
         self.g = g
         self.coeffs = coeffs
         self.factors = factors
+        self.factor_field = factor_field
 
     def __eq__(self, other):
         if not isinstance(other, ChiModP):
@@ -266,17 +268,17 @@ def cm_matrix_formula(curve):
 
 
 def wp_product(W, n):
-    """W^t (W^t)^(p) ... (W^t)^(p^(n-1)) as a matrix of FieldElement."""
+    """W^t (W^t)^(p) ... (W^t)^(p^(n-1)) as a matrix of raw elements."""
     if n < 1:
         raise ValueError("need n >= 1")
     F = W.curve.F
     g = W.g
-    M = [[W.entries[j][i].rep for j in range(g)] for i in range(g)]
+    M = [[W.entries[j][i] for j in range(g)] for i in range(g)]
     R = [row[:] for row in M]
     for _ in range(n - 1):
         M = [[F.frobenius(v) for v in row] for row in M]
         R = [[_dot(F, R, M, i, j) for j in range(g)] for i in range(g)]
-    return [[FieldElement(F, v) for v in row] for row in R]
+    return R
 
 
 def _dot(F, A, B, i, j):
@@ -315,7 +317,7 @@ def chi_mod_p(curve):
     g = curve.g
     W = cm_matrix_naive(curve)
     Wp = wp_product(W, F.k)
-    cp = _charpoly(F, [[v.rep for v in row] for row in Wp])
+    cp = _charpoly(F, Wp)
     coeffs = [0] * g
     for v in cp:
         c = project(v, F, F.pf) if F.k > 1 else v
@@ -419,7 +421,7 @@ def twist_factor(K, sb, p, i, e=1, n=0):
     return K.pow(sb, (e * ((p - 1) // i) - n) % (2 * (p - 1)))
 
 
-def chi_mod_p_table(g, curve, seed=None):
+def chi_mod_p_table(curve, seed=DEFAULT_SEED):
     """Factored chi mod p for the family, straight from the genus-2..7
     table; expanded coefficients are asserted to land in F_p.
 
@@ -427,12 +429,11 @@ def chi_mod_p_table(g, curve, seed=None):
     N the sum of its Legendre indices n: the H_n multiply in F_p, and
     only sqrt(b), hence the reported constant, may need F_{p^2}.
     """
-    if seed is None:
-        seed = DEFAULT_SEED
+    g = curve.g
     if g not in _TABLE:
         raise UnsupportedGenus(f"table covers genus 2..7, not {g}")
-    if not curve.is_family or curve.g != g:
-        raise ValueError("need a family curve of the requested genus")
+    if not curve.is_family:
+        raise ValueError("the table needs a family curve")
     F = curve.F
     if F.k != 1:
         raise NotPrimeField("the factored table is stated over F_p")
@@ -460,7 +461,7 @@ def chi_mod_p_table(g, curve, seed=None):
             total += n
         const = K.mul(twist_factor(K, sb, p, i, e, total),
                       embed(prod, F, K))
-        factors.append((d, FieldElement(K, const)))
+        factors.append((d, const))
         fac = [K.neg(const)] + [K.zero] * (d - 1) + [K.one]
         poly = polys.mul(K, poly, fac)
     coeffs = [0] * g
@@ -469,4 +470,4 @@ def chi_mod_p_table(g, curve, seed=None):
         if c is None:
             raise InternalError("table coefficient escaped F_p")
         coeffs.append(int(c))
-    return ChiModP(p, g, coeffs, factors=factors)
+    return ChiModP(p, g, coeffs, factors=factors, factor_field=K)

@@ -22,7 +22,7 @@ import traceback
 
 from . import cartier
 from .config import BUDGET_ENV, DEFAULT_BUDGET, DEFAULT_SEED, DEFAULT_TRIALS
-from .counting import (count, legendre_octic_congruence,
+from .counting import (TRACE_METHODS, count, legendre_octic_congruence,
                        legendre_trace_congruence)
 from .curves import curve_from_ab, curve_from_f, zeta_oracle
 from .decomp import splitting_field_degree, twist_curves
@@ -81,17 +81,20 @@ def _digits(desc, rep):
 def _budget(args):
     """The enumeration budget: --budget, else the env var, else the
     default.  Resolved and checked on every call, whether or not the
-    subcommand enumerates."""
+    subcommand enumerates; a refusal names where the value came from."""
     flag = getattr(args, "budget", None)
-    raw = os.environ.get(BUDGET_ENV) if flag is None else str(flag)
+    if flag is None:
+        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
+    else:
+        source, raw = "--budget", str(flag)
     if raw is None:
         return DEFAULT_BUDGET
     try:
         val = int(raw, 0)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{source} must be an integer, got {raw!r}")
     if val <= 0:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {val}")
+        raise ValueError(f"{source} must be positive, got {val}")
     return val
 
 
@@ -175,7 +178,7 @@ def cmd_zeta_oracle(args):
 # --- cm-matrix ---
 
 def _matrix_rows(W):
-    return [[_ds(e.rep) for e in row] for row in W.entries]
+    return [[_ds(e) for e in row] for row in W.entries]
 
 
 def cmd_cm_matrix(args):
@@ -208,9 +211,10 @@ def cmd_chi_mod_p(args):
     if args.method in ("matrix", "both"):
         out["matrix_coeffs"] = [_ds(c) for c in cartier.chi_mod_p(C).coeffs]
     if args.method in ("table", "both"):
-        t = cartier.chi_mod_p_table(C.g, C, seed=args.seed)
+        t = cartier.chi_mod_p_table(C, seed=args.seed)
         out["table_coeffs"] = [_ds(c) for c in t.coeffs]
-        out["factors"] = [{"degree": d, "constant": _digits(c.desc, c.rep)}
+        out["factors"] = [{"degree": d,
+                           "constant": _digits(t.factor_field, c)}
                           for d, c in t.factors]
     if args.method == "both":
         out["equal"] = out["matrix_coeffs"] == out["table_coeffs"]
@@ -229,7 +233,7 @@ def _table_rows_for(g, p, trials, seed):
         rng = random.Random(repr((seed, "verify-table", g, p, t)))
         a, b = _rand_ab(rng, p)
         C = curve_from_ab(F, g, a, b)
-        lhs = cartier.chi_mod_p_table(g, C, seed=seed)
+        lhs = cartier.chi_mod_p_table(C, seed=seed)
         rhs = cartier.chi_mod_p(C)
         rows.append({"g": g, "p": p, "a": a, "b": b,
                      "row": p % cartier._ROW_MOD[g],
@@ -456,7 +460,7 @@ def build_parser():
 
     s = subs.add_parser("count", help="chi and Jacobian order")
     _add_curve_flags(s)
-    s.add_argument("--trace-method", choices=("naive_count", "bsgs"),
+    s.add_argument("--trace-method", choices=TRACE_METHODS,
                    default="naive_count")
     s.add_argument("--trials", type=_int, default=DEFAULT_TRIALS,
                    help="random divisors per Jacobian order check")

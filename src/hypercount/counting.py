@@ -24,55 +24,44 @@ from .descent import (CandidateSet, extend_lpoly, generic_descend,
 from .errors import (BadGenus, BudgetExceeded, InternalError,
                      NoCandidateSurvives, NonResidueDiscriminant,
                      NotPrimeField, SingularSpecialization)
-from .fields import (FieldElement, embed, introot, make_extension,
-                     make_prime_field, nth_root, nth_root_field_degree,
-                     prime_factors, project)
+from .fields import (embed, introot, make_extension, make_prime_field,
+                     nth_root, nth_root_field_degree, prime_factors,
+                     project)
 
 SKIPPED = "skipped"
 
 _BSGS_CAP = 10 ** 14
 
 
-# --- elliptic trace providers ---
+# --- elliptic traces ---
 
-class TraceProvider:
-    """How to get elliptic Frobenius traces: full count or interval bsgs.
-
-    budget caps the field size the method accepts; None picks the
-    method's default (the count budget DEFAULT_BUDGET for naive_count,
-    10^14 for bsgs).  Kept deliberately small so a faster engine can be
-    plugged in without touching the algorithms above it.
-    """
-
-    __slots__ = ("method", "budget")
-
-    def __init__(self, method="naive_count", budget=None):
-        if method not in ("naive_count", "bsgs"):
-            raise ValueError(f"unknown trace method {method!r}")
-        self.method = method
-        if budget is None:
-            budget = DEFAULT_BUDGET if method == "naive_count" else _BSGS_CAP
-        self.budget = int(budget)
-
-    def __repr__(self):
-        return f"TraceProvider({self.method!r}, budget={self.budget})"
+TRACE_METHODS = ("naive_count", "bsgs")
 
 
-def frobenius_trace(E, provider=None, budget=DEFAULT_BUDGET):
+def _trace_cap(trace_method, budget):
+    """Largest field size trace_method accepts: the count budget for
+    naive_count, _BSGS_CAP for bsgs."""
+    if trace_method not in TRACE_METHODS:
+        raise ValueError(f"unknown trace method {trace_method!r}")
+    return budget if trace_method == "naive_count" else _BSGS_CAP
+
+
+def frobenius_trace(E, trace_method="naive_count", budget=DEFAULT_BUDGET):
     """Trace t with #E(F_q) = q + 1 - t for a genus-1 curve.
 
-    budget caps the point count that bsgs falls back on when its
-    sampled points leave a tie."""
+    trace_method is "naive_count" (a full point count) or "bsgs" (a
+    search of the Hasse interval).  budget caps every point count,
+    including the one bsgs falls back on when its sampled points leave
+    a tie."""
     if E.g != 1:
-        raise BadGenus(f"trace provider expects genus 1, got {E.g}")
-    if provider is None:
-        provider = TraceProvider()
+        raise BadGenus(f"frobenius_trace expects genus 1, got {E.g}")
+    cap = _trace_cap(trace_method, budget)
     q = E.F.q
-    if q > provider.budget:
+    if q > cap:
         raise BudgetExceeded(
-            f"field size {q} exceeds the {provider.method} budget {provider.budget}")
-    if provider.method == "naive_count":
-        N = count_points(E, 1, provider.budget)
+            f"field size {q} exceeds the {trace_method} budget {cap}")
+    if trace_method == "naive_count":
+        N = count_points(E, 1, budget)
     else:
         N = _bsgs_group_order(E, budget)
     t = q + 1 - N
@@ -400,8 +389,8 @@ def chi_generic(curve, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
 
 # --- genus 3 through the elliptic quotient and Legendre traces ---
 
-def chi_genus3(curve, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
-               budget=DEFAULT_BUDGET):
+def chi_genus3(curve, trace_method="naive_count", trials=DEFAULT_TRIALS,
+               seed=DEFAULT_SEED, budget=DEFAULT_BUDGET):
     """chi (degree 6) of the family curve y^2 = x^7 + a x^4 + b x over a
     prime field.
 
@@ -412,9 +401,10 @@ def chi_genus3(curve, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     all arithmetic stays over F_p: when sqrt(b) is not in F_p the
     F_{p^2} trace is read off a curve over F_p (_descended_t6).  The
     pool holds the truth, so one random-divisor order check settles it
-    unless a tie survives, which goes to the tie-break ladder.  budget
-    caps every point count, the default provider's included.  No family
-    curve of genus 3 has p = 3: there x^6 + a x^3 + b is a cube.
+    unless a tie survives, which goes to the tie-break ladder.  The
+    elliptic traces come from frobenius_trace by trace_method, and
+    budget caps every point count.  No family curve of genus 3 has
+    p = 3: there x^6 + a x^3 + b is a cube.
     """
     if not curve.is_family:
         raise ValueError("chi_genus3 needs the two-parameter family shape")
@@ -424,12 +414,10 @@ def chi_genus3(curve, provider=None, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     if F.k != 1:
         raise NotPrimeField("the genus-3 algorithm works over prime fields")
     p = F.p
-    if provider is None:
-        provider = TraceProvider(budget=budget)
     E = elliptic_quotient(F, 3, a, b)
-    t2 = frobenius_trace(E, provider, budget)
+    t2 = frobenius_trace(E, trace_method, budget)
     transcript = [f"t2 = {t2} for the elliptic quotient"]
-    pool = _chi_a_pool(F, a, b, provider, transcript, budget)
+    pool = _chi_a_pool(F, a, b, trace_method, transcript, budget)
 
     chiE_at_1 = 1 - t2 + p
     orders = {}
@@ -463,7 +451,7 @@ def _twist_unit_sum(F, u, e):
     return w
 
 
-def _chi_a_pool(F, a, b, provider, transcript, budget):
+def _chi_a_pool(F, a, b, trace_method, transcript, budget):
     """The (b1, b2) of chi_A = T^4 - b1 T^3 + b2 T^2 - p b1 T + p^2 that
     the closed forms in t6 allow; the true pair is always among them.
 
@@ -484,7 +472,7 @@ def _chi_a_pool(F, a, b, provider, transcript, budget):
         c = F.div(F.neg(a), F.mul(F.from_int(2), sb))
         E6 = curve_from_f(F, [F.mul(F.from_int(2), c), F.from_int(-3),
                               F.zero, F.one])
-        t6 = frobenius_trace(E6, provider, budget)
+        t6 = frobenius_trace(E6, trace_method, budget)
         transcript.append(f"t6 = {t6} over F_p (sqrt(b) in F_p)")
         if p % 3 == 2:
             pool = [(0, 2 * p - t6 * t6)]
@@ -492,7 +480,7 @@ def _chi_a_pool(F, a, b, provider, transcript, budget):
             w = _twist_unit_sum(F, sb, (p - 1) // 6)
             pool = [(F.legendre(3 % p) * w * t6, t6 * t6 + (w * w - 2) * p)]
     else:
-        t6 = _descended_t6(F, a, b, provider, budget)
+        t6 = _descended_t6(F, a, b, trace_method, budget)
         transcript.append(f"t6 = {t6} over F_p^2 (sqrt(b) not in F_p)")
         # sqrt(b)^((p^2 - 1)/6) over F_{p^2} is b^((p^2 - 1)/12) in F_p
         w = _twist_unit_sum(F, b, (p * p - 1) // 12)
@@ -520,7 +508,7 @@ def _signed_isqrt(n, centre):
     return sorted({centre - r, centre + r})
 
 
-def _descended_t6(F, a, b, provider, budget):
+def _descended_t6(F, a, b, trace_method, budget):
     """Trace over F_{p^2} of y^2 = x^3 - 3x + 2c, c = -a/(2 sqrt(b)), b a
     nonsquare mod p, computed over F_p.
 
@@ -534,11 +522,11 @@ def _descended_t6(F, a, b, provider, budget):
     p = F.p
     if a == F.zero:
         Ed = curve_from_f(F, [F.zero, F.from_int(-3), F.zero, F.one])
-        return frobenius_trace(Ed, provider, budget) ** 2 - 2 * p
+        return frobenius_trace(Ed, trace_method, budget) ** 2 - 2 * p
     s = F.div(F.mul(a, a), F.mul(F.from_int(4), b))
     Ed = curve_from_f(F, [F.mul(F.from_int(2), F.mul(s, s)),
                           F.mul(F.from_int(-3), s), F.zero, F.one])
-    t = frobenius_trace(Ed, provider, budget)
+    t = frobenius_trace(Ed, trace_method, budget)
     return F.legendre(F.neg(s)) * (t * t - 2 * p)
 
 
@@ -555,10 +543,9 @@ def count(curve, *, trace_method="naive_count", budget=DEFAULT_BUDGET,
     """
     if not curve.is_family:
         raise ValueError("count needs the two-parameter family shape")
-    provider = TraceProvider(
-        trace_method, budget if trace_method == "naive_count" else None)
+    _trace_cap(trace_method, budget)  # refuse a bad name at every genus
     if curve.g == 3:
-        return chi_genus3(curve, provider, trials, seed, budget)
+        return chi_genus3(curve, trace_method, trials, seed, budget)
     return chi_generic(curve, trials, seed, budget)
 
 
@@ -576,7 +563,7 @@ def legendre_trace_congruence(p, c, variant, budget=DEFAULT_BUDGET):
     if p <= 3 or (variant == 6 and p <= 5):
         raise ValueError(f"p = {p} is too small for variant {variant}")
     F = make_prime_field(p)
-    cc = c.rep if isinstance(c, FieldElement) else F.coerce(c)
+    cc = F.coerce(c)
     if cc == F.one or cc == F.from_int(-1):
         return SKIPPED
 
@@ -607,7 +594,7 @@ def legendre_trace_congruence(p, c, variant, budget=DEFAULT_BUDGET):
         B = F.mul(two, cc)
 
     E = curve_from_f(F, [B, A, F.zero, F.one])
-    t = frobenius_trace(E, TraceProvider(budget=budget))
+    t = frobenius_trace(E, budget=budget)
     return polys.legendre_eval(F, idx, cc) == F.from_int(char * t)
 
 
@@ -622,7 +609,7 @@ def legendre_octic_congruence(p, rho, budget=DEFAULT_BUDGET):
     if p % 8 != 1:
         raise ValueError(f"needs p = 1 mod 8, got p = {p}")
     F = make_prime_field(p)
-    r = rho.rep if isinstance(rho, FieldElement) else F.coerce(rho)
+    r = F.coerce(rho)
     if r == F.one or r == F.from_int(-1):
         raise SingularSpecialization("rho = +-1 collapses the quotient curve")
     c = F.mul(F.from_int(-2), r)

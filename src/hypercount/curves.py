@@ -13,15 +13,7 @@ from .config import DEFAULT_BUDGET, DEFAULT_SEED
 from .enumeration import check_enumerable, count_curve_points
 from .errors import (BadGenus, CharacteristicDividesGenus, InternalError,
                      SingularCurve)
-from .fields import FieldElement, embed, make_extension
-
-
-def _raw(F, v):
-    if isinstance(v, FieldElement):
-        if v.desc is not F:
-            raise ValueError("element belongs to a different field")
-        return v.rep
-    return F.coerce(v)
+from .fields import embed, make_extension
 
 
 class CurveSpec:
@@ -30,7 +22,7 @@ class CurveSpec:
     __slots__ = ("F", "f", "g", "a", "b")
 
     def __init__(self, F, fcoeffs, a=None, b=None):
-        f = polys.trim(F, [_raw(F, c) for c in fcoeffs])
+        f = polys.trim(F, [F.coerce(c) for c in fcoeffs])
         deg = polys.degree(f)
         if deg < 3 or deg % 2 == 0:
             raise BadGenus(f"need odd degree >= 3, got degree {deg}")
@@ -68,8 +60,8 @@ def curve_from_ab(F, g, a, b):
         raise BadGenus(f"genus {g} outside the supported range 1..7")
     if g % F.p == 0:
         raise CharacteristicDividesGenus(f"p = {F.p} divides g = {g}")
-    a = _raw(F, a)
-    b = _raw(F, b)
+    a = F.coerce(a)
+    b = F.coerce(b)
     if b == F.zero:
         raise SingularCurve("b = 0 gives x^(g+1) | f")
     f = [F.zero] * (2 * g + 2)

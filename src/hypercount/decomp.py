@@ -13,7 +13,7 @@ what x^g + (alpha/x)^g collapses to under x + alpha/x -> x.
 
 from . import polys
 from .config import DEFAULT_BUDGET, DEFAULT_SEED
-from .curves import _raw, curve_from_f, zeta_oracle
+from .curves import curve_from_f, zeta_oracle
 from .descent import extend_lpoly
 from .errors import BadGenus, CharacteristicDividesGenus, EvenGenus, \
     MismatchDetected, RootUnavailable
@@ -23,17 +23,16 @@ from .fields import embed, make_extension, nth_root, nth_root_field_degree
 class QuotientPair:
     """The two quotient curves, with the field they ended up defined over.
 
-    relation tags which involution produced which member; extended is set
-    when a square root forced a quadratic extension of the requested field.
+    extended is set when a square root forced a quadratic extension of
+    the requested field.
     """
 
-    __slots__ = ("X1", "X2", "defined_over", "relation", "extended")
+    __slots__ = ("X1", "X2", "defined_over", "extended")
 
     def __init__(self, X1, X2, defined_over, extended=False):
         self.X1 = X1
         self.X2 = X2
         self.defined_over = defined_over
-        self.relation = ("sigma", "omega_sigma")
         self.extended = extended
 
     def __repr__(self):
@@ -62,7 +61,7 @@ def quotients_normalized(F, g, c):
         raise BadGenus("quotient pair needs g >= 2; at g = 1 one side is rational")
     if g % F.p == 0:
         raise CharacteristicDividesGenus(f"p = {F.p} divides g = {g}")
-    c = _raw(F, c)
+    c = F.coerce(c)
     base = polys.add(F, polys.dickson(F, g, F.one), polys.constant(F, c))
     two = F.from_int(2)
     if g % 2 == 1:
@@ -89,8 +88,8 @@ def quotients_family(F, g, a, alpha):
         raise BadGenus("quotient pair needs g >= 2; at g = 1 one side is rational")
     if g % F.p == 0:
         raise CharacteristicDividesGenus(f"p = {F.p} divides g = {g}")
-    a = _raw(F, a)
-    alpha = _raw(F, alpha)
+    a = F.coerce(a)
+    alpha = F.coerce(alpha)
     extended = False
     if g % 2 == 0:
         s = F.sqrt(alpha)
@@ -120,8 +119,8 @@ def twist_curves(F, g, a, b):
     c = a/sqrt(b); these are the curves cheap enough to count directly.
     Builds F_{q^2} when sqrt(b) is missing (flagged via .extended).
     """
-    a = _raw(F, a)
-    b = _raw(F, b)
+    a = F.coerce(a)
+    b = F.coerce(b)
     extended = False
     sb = F.sqrt(b)
     if sb is None:
@@ -145,13 +144,13 @@ def elliptic_quotient(F, g, a, b):
     """
     if g % 2 == 0:
         raise EvenGenus(f"no elliptic quotient for even g = {g}")
-    return curve_from_f(F, [F.zero, _raw(F, b), _raw(F, a), F.one])
+    return curve_from_f(F, [F.zero, F.coerce(b), F.coerce(a), F.one])
 
 
 def splitting_field_degree(F, g, b):
     """Degree k with F_{q^k} = the splitting field of the Jacobian."""
     m = g if g % 2 == 1 else 2 * g
-    return nth_root_field_degree(F, _raw(F, b), m)
+    return nth_root_field_degree(F, F.coerce(b), m)
 
 
 def split_quotients(curve, seed=DEFAULT_SEED):
@@ -193,10 +192,7 @@ def decomposition_check(curve, budget=DEFAULT_BUDGET, seed=DEFAULT_SEED,
     L1 = zeta_oracle(pair.X1, budget=budget, seed=seed)
     L2 = zeta_oracle(pair.X2, budget=budget, seed=seed)
     c1, c2 = L1.coeffs(), L2.coeffs()
-    prod = [0] * (len(c1) + len(c2) - 1)
-    for i, u in enumerate(c1):
-        for j, v in enumerate(c2):
-            prod[i + j] += u * v
+    prod = polys._int_poly_mul(c1, c2)
     q_split = curve.F.q ** k
     report = {
         "q": curve.F.q,

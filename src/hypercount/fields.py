@@ -1,9 +1,10 @@
 """Finite fields F_p and F_{p^k} with compatible embeddings and root machinery.
 
-Raw elements are an int for prime fields and a tuple of k ints (digits over
-F_p, ascending degree in the generator) for extensions. Hot paths work on
-raws through the descriptor; the FieldElement wrapper adds operators for
-formula-heavy code. Descriptors are cached so the same parameters give the
+An element is a raw value: an int for prime fields and a tuple of k ints
+(digits over F_p, ascending degree in the generator) for extensions. Every
+layer passes raws together with their field descriptor, which does all the
+arithmetic (F.add, F.mul, F.inv, ...); F.coerce turns an int or a digit
+list into a raw. Descriptors are cached so the same parameters give the
 identical object and raws from separate call sites stay compatible.
 """
 
@@ -85,98 +86,8 @@ def introot(n, k):
         x = y
 
 
-class FieldElement:
-    __slots__ = ("desc", "rep")
-
-    def __init__(self, desc, rep):
-        self.desc = desc
-        self.rep = rep
-
-    def _rep_of(self, other):
-        if isinstance(other, FieldElement):
-            if other.desc is not self.desc:
-                raise ValueError("elements belong to different fields")
-            return other.rep
-        if isinstance(other, int):
-            return self.desc.from_int(other)
-        return None
-
-    def __add__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.add(self.rep, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.sub(self.rep, r))
-
-    def __rsub__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.sub(r, self.rep))
-
-    def __mul__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.mul(self.rep, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.div(self.rep, r))
-
-    def __rtruediv__(self, o):
-        r = self._rep_of(o)
-        if r is None:
-            return NotImplemented
-        return FieldElement(self.desc, self.desc.div(r, self.rep))
-
-    def __pow__(self, e):
-        return FieldElement(self.desc, self.desc.pow(self.rep, e))
-
-    def __neg__(self):
-        return FieldElement(self.desc, self.desc.neg(self.rep))
-
-    def __eq__(self, o):
-        if isinstance(o, FieldElement):
-            return o.desc is self.desc and o.rep == self.rep
-        if isinstance(o, int):
-            return self.rep == self.desc.from_int(o)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.desc), self.rep))
-
-    def __bool__(self):
-        return self.rep != self.desc.zero
-
-    def __repr__(self):
-        return f"{self.rep!r} in {self.desc!r}"
-
-    def sqrt(self):
-        r = self.desc.sqrt(self.rep)
-        return None if r is None else FieldElement(self.desc, r)
-
-
 class FieldDesc:
-    """Common wrapper plumbing; concrete arithmetic lives in subclasses."""
-
-    def el(self, x):
-        if isinstance(x, FieldElement):
-            if x.desc is not self:
-                raise ValueError("element belongs to a different field")
-            return x
-        return FieldElement(self, self.coerce(x))
+    """Arithmetic shared by both field types; the rest lives in subclasses."""
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -318,6 +318,20 @@ def test_budget_flag_does_not_outlive_its_call(monkeypatch, capsys):
     assert os.environ[BUDGET_ENV] == "123456"
 
 
+def test_budget_refusal_names_its_source():
+    argv = ["zeta-oracle", "--p", "7", "--genus", "2", "--a", "1", "--b", "3"]
+    for value in ("0", "-3"):
+        code, out, _ = _run(argv + ["--budget", value], env=100)
+        assert code == 1 and out["error"] == "ValueError"
+        assert out["detail"] == f"--budget must be positive, got {value}"
+    code, out, _ = _run(argv, env=0)
+    assert code == 1
+    assert out["detail"] == f"{BUDGET_ENV} must be positive, got 0"
+    code, out, _ = _run(argv, env="junk")
+    assert code == 1
+    assert out["detail"] == f"{BUDGET_ENV} must be an integer, got 'junk'"
+
+
 # --- file and format plumbing ---
 
 def test_curve_json_input(tmp_path):

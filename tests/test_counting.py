@@ -1,4 +1,4 @@
-"""Counting algorithms, trace providers, congruences."""
+"""Counting algorithms, elliptic trace methods, congruences."""
 
 import random
 
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import hypercount
 from hypercount import counting, curves
-from hypercount.counting import (SKIPPED, TraceProvider, _chi_a_pool,
-                                 _descended_t6, chi_generic, chi_genus3,
-                                 frobenius_trace, legendre_octic_congruence,
+from hypercount.counting import (SKIPPED, _chi_a_pool, _descended_t6,
+                                 chi_generic, chi_genus3, frobenius_trace,
+                                 legendre_octic_congruence,
                                  legendre_trace_congruence)
 from hypercount.cartier import chi_mod_p
 from hypercount.config import DEFAULT_BUDGET
@@ -22,14 +22,28 @@ from hypercount.errors import (AmbiguousResult, BadGenus, BudgetExceeded,
                                CharacteristicDividesGenus,
                                NoCandidateSurvives, NotPrimeField,
                                SingularSpecialization)
-from hypercount.fields import embed, make_extension, make_prime_field
+from hypercount.fields import (embed, make_extension, make_prime_field,
+                               next_prime)
 
 
-def test_trace_provider_validation():
-    assert TraceProvider().method == "naive_count"
-    assert TraceProvider("bsgs").budget == 10 ** 14
-    with pytest.raises(ValueError):
-        TraceProvider("schoof")
+def test_trace_method_validation(monkeypatch):
+    E = curve_from_ab(make_prime_field(11), 1, 2, 3)
+    with pytest.raises(ValueError, match="unknown trace method 'schoof'"):
+        frobenius_trace(E, "schoof")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("bsgs started on a field over its cap")
+
+    # bsgs refuses q > 10^14 from the size alone, whatever the budget
+    monkeypatch.setattr(counting, "_bsgs_group_order", no_work)
+    monkeypatch.setattr(counting, "count_points", no_work)
+    big = curve_from_ab(make_prime_field(next_prime(10 ** 14)), 1, 2, 3)
+    with pytest.raises(BudgetExceeded, match="exceeds the bsgs budget"):
+        frobenius_trace(big, "bsgs", budget=10 ** 20)
+    for g in range(2, 8):
+        C = curve_from_ab(make_prime_field(29), g, 1, 3)
+        with pytest.raises(ValueError, match="unknown trace method"):
+            hypercount.count(C, trace_method="schoof")
 
 
 def test_frobenius_trace_naive_vs_bsgs():
@@ -41,8 +55,8 @@ def test_frobenius_trace_naive_vs_bsgs():
             if (a * a - 4 * b) % p == 0:
                 continue
             E = curve_from_ab(F, 1, a, b)
-            t_naive = frobenius_trace(E, TraceProvider("naive_count"))
-            t_bsgs = frobenius_trace(E, TraceProvider("bsgs"))
+            t_naive = frobenius_trace(E, "naive_count")
+            t_bsgs = frobenius_trace(E, "bsgs")
             assert t_naive == t_bsgs
             assert t_naive * t_naive <= 4 * p
 
@@ -51,8 +65,7 @@ def test_frobenius_trace_extension_field():
     F = make_prime_field(7)
     K = make_extension(F, 2)
     E = curve_from_ab(K, 1, K.from_int(2), K.from_int(3))
-    assert frobenius_trace(E, TraceProvider("naive_count")) == \
-        frobenius_trace(E, TraceProvider("bsgs"))
+    assert frobenius_trace(E, "naive_count") == frobenius_trace(E, "bsgs")
 
 
 def test_frobenius_trace_rejects():
@@ -61,7 +74,11 @@ def test_frobenius_trace_rejects():
         frobenius_trace(curve_from_ab(F, 2, 3, 4))
     E = curve_from_ab(F, 1, 2, 3)
     with pytest.raises(BudgetExceeded):
-        frobenius_trace(E, TraceProvider("naive_count", budget=5))
+        frobenius_trace(E, "naive_count", budget=5)
+    # the default method counts points, so budget caps that count too
+    E = curve_from_ab(make_prime_field(1009), 1, 2, 3)
+    with pytest.raises(BudgetExceeded, match="naive_count budget 5"):
+        frobenius_trace(E, budget=5)
 
 
 def test_chi_result_plumbing():
@@ -107,8 +124,7 @@ def test_chi_genus3_matches_oracle_both_branches():
         b = next(v for v in range(2, p) if F.legendre(v) == -1)
         want = zeta_oracle(curve_from_ab(F, 3, 0, b))
         for method in ("naive_count", "bsgs"):
-            res = chi_genus3(curve_from_ab(F, 3, 0, b),
-                             provider=TraceProvider(method))
+            res = chi_genus3(curve_from_ab(F, 3, 0, b), trace_method=method)
             assert want.a in res.tuples
             if res.status == "unique":
                 assert res.coefficients == want.a
@@ -134,8 +150,8 @@ def test_chi_a_pool_holds_the_oracle_chi_a():
             b1 = -a1 - t2
             b2 = a2 - t2 * b1 - p
             for method in ("naive_count", "bsgs"):
-                pool = _chi_a_pool(F, F.coerce(a), F.coerce(b),
-                                   TraceProvider(method), [], DEFAULT_BUDGET)
+                pool = _chi_a_pool(F, F.coerce(a), F.coerce(b), method, [],
+                                   DEFAULT_BUDGET)
                 assert (b1, b2) in pool, (p, a, b, method)
                 assert 1 <= len(pool) <= 4
 
@@ -151,8 +167,7 @@ def test_former_ambiguous_inputs_count_uniquely(p, a, b, want):
     # each of these once ended with several candidates (exit 3); at
     # p = 7 and 271, b is a square and t6 = 0
     F = make_prime_field(p)
-    res = chi_genus3(curve_from_ab(F, 3, a, b),
-                     provider=TraceProvider("bsgs"))
+    res = chi_genus3(curve_from_ab(F, 3, a, b), trace_method="bsgs")
     assert res.status == "unique"
     if want is not None:
         assert res.coefficients == want
@@ -183,7 +198,7 @@ def test_descended_t6_matches_count_over_quadratic_extension():
                                        K.from_int(-3), K.zero, K.one])
                 want = K.q + 1 - count_points(E62, 1)
                 for method in ("naive_count", "bsgs"):
-                    assert _descended_t6(F, a, b, TraceProvider(method),
+                    assert _descended_t6(F, a, b, method,
                                          DEFAULT_BUDGET) == want, \
                         (p, a, b, method)
 
@@ -195,11 +210,10 @@ def test_chi_genus3_at_42_bits(b):
     a = 4231746819984
     F = make_prime_field(p)
     assert F.legendre(b) == (1 if b == 4 else -1)
-    provider = TraceProvider("bsgs")
-    res = chi_genus3(curve_from_ab(F, 3, a, b), provider=provider)
+    res = chi_genus3(curve_from_ab(F, 3, a, b), trace_method="bsgs")
     assert res.status == "unique"
     assert len(weil_filter(CandidateSet(p, 3, res.tuples))) == 1
-    t2 = frobenius_trace(elliptic_quotient(F, 3, a, b), provider)
+    t2 = frobenius_trace(elliptic_quotient(F, 3, a, b), "bsgs")
     assert res.order() % (p + 1 - t2) == 0
 
 
@@ -220,10 +234,9 @@ def test_chi_generic_refuses_over_budget_before_counting(monkeypatch):
     assert calls == []
 
 
-def test_chi_genus3_with_bsgs_provider():
+def test_chi_genus3_with_bsgs_traces():
     F = make_prime_field(13)
-    res = chi_genus3(curve_from_ab(F, 3, 2, 5),
-                     provider=TraceProvider("bsgs"))
+    res = chi_genus3(curve_from_ab(F, 3, 2, 5), trace_method="bsgs")
     assert res.status == "unique" and res.coefficients == (0, 36, -2)
 
 

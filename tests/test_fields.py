@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercount.errors import (EvenCharacteristic, NoRootInField, NotPrime,
                                ZeroRadicand)
@@ -167,16 +169,47 @@ def test_integer_helpers():
     assert introot(26, 3) == 2
 
 
-def test_element_wrapper_ops():
-    F = make_prime_field(13)
-    x = F.el(5)
-    y = F.el(9)
-    assert (x + y).rep == F.from_int(1)
-    assert (x * y).rep == F.from_int(6)
-    assert (x - x).rep == F.zero
-    with pytest.raises(ValueError):
-        K = make_extension(F, 2)
-        x + K.el(1)
+# F_13, F_{5^2} and F_{7^3}: a prime field and both extension shapes
+AXIOM_FIELDS = [make_prime_field(13),
+                make_extension(make_prime_field(5), 2),
+                make_extension(make_prime_field(7), 3)]
+
+
+@st.composite
+def field_triples(draw):
+    """A field of AXIOM_FIELDS and three raw elements of it, built from
+    their digits."""
+    F = draw(st.sampled_from(AXIOM_FIELDS))
+    digits = st.lists(st.integers(0, F.p - 1), min_size=F.k, max_size=F.k)
+    return F, [F.from_digits(draw(digits)) for _ in range(3)]
+
+
+@settings(max_examples=60)
+@given(field_triples(), st.integers(0, 400), st.integers(0, 400))
+def test_field_axioms_on_raw_elements(case, m, n):
+    F, (x, y, z) = case
+    assert F.add(x, y) == F.add(y, x)
+    assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+    assert F.add(x, F.zero) == x and F.sub(x, x) == F.zero
+    assert F.add(x, F.neg(x)) == F.zero
+    assert F.sub(x, y) == F.add(x, F.neg(y))
+    assert F.mul(x, y) == F.mul(y, x)
+    assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+    assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+    assert F.mul(x, F.one) == x
+    if x != F.zero:
+        assert F.mul(x, F.inv(x)) == F.one
+        assert F.mul(F.div(y, x), x) == y
+    assert F.mul(F.pow(x, m), F.pow(x, n)) == F.pow(x, m + n)
+    assert F.pow(F.pow(x, m), n) == F.pow(x, m * n)
+    assert F.pow(x, F.q) == x
+    r = F.sqrt(F.mul(x, x))
+    assert r is not None and F.mul(r, r) == F.mul(x, x)
+    s = F.sqrt(x)
+    assert (s is None) == (F.legendre(x) == -1)
+    if s is not None:
+        assert F.mul(s, s) == x
+    assert F.from_digits(F.digits(x)) == x
 
 
 def test_digits_roundtrip():
